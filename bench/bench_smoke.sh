@@ -91,18 +91,21 @@ echo "== compare deterministic benches against baselines"
 "$bindir/bench_compare" --rel-tol 1e-6 --ignore invariant_gap \
     "$basedir/BENCH_attribution.json" "$tmp/BENCH_attribution.json"
 
-echo "== append run to the bench-history ledger"
+echo "== append run to a scratch copy of the bench-history ledger"
 # Cross-run perf trajectory (obs::bench_history): one schema-tagged JSONL
-# record per BENCH_*.json of this run, then the trend over recent entries.
-# This runs before the self-checks below so their perturbed scratch file
-# never reaches the ledger.
-ledger_dir="$basedir/../history"
-mkdir -p "$ledger_dir"
-"$bindir/bench_trend" --append "$ledger_dir/BENCH_history.jsonl" "$tmp"/BENCH_*.json
-"$bindir/bench_trend" "$ledger_dir/BENCH_history.jsonl" --last 5
+# record per BENCH_*.json of this run, appended to a copy of the committed
+# ledger in the scratch dir, then the trend over recent entries. The
+# committed ledger changes only through an explicit `bench_trend --append`,
+# so this gate leaves the source tree untouched. This runs before the
+# self-checks below so their perturbed scratch file never reaches the ledger.
+ledger="$tmp/BENCH_history.jsonl"
+committed="$basedir/../history/BENCH_history.jsonl"
+if [ -f "$committed" ]; then cp "$committed" "$ledger"; fi
+"$bindir/bench_trend" --append "$ledger" "$tmp"/BENCH_*.json
+"$bindir/bench_trend" "$ledger" --last 5
 # --csv self-check: same window as flat CSV; the header plus at least one
 # data row must come out, and every row must have the 5 columns.
-csv_rows=$("$bindir/bench_trend" "$ledger_dir/BENCH_history.jsonl" --last 5 --csv \
+csv_rows=$("$bindir/bench_trend" "$ledger" --last 5 --csv \
     | awk -F, 'NF != 5 { exit 1 } END { print NR }') \
     || { echo "FAIL: bench_trend --csv produced a malformed row"; exit 1; }
 [ "$csv_rows" -ge 2 ] || { echo "FAIL: bench_trend --csv produced no data rows"; exit 1; }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "src/obs/event_log.hpp"
 #include "src/resil/recovery.hpp"
@@ -167,10 +169,15 @@ void Simulation<DIM>::init() {
   }
 
   if (m_cfg.maxwell == MaxwellSolver::PSATD) {
-    // Spectral solve: fully periodic, one global box, no PML/MR.
-    for (int d = 0; d < DIM; ++d) { assert(m_cfg.periodic[d]); }
-    assert(ba.size() == 1 && "PSATD requires a single-box level");
-    assert(!m_cfg.use_pml && m_patch == nullptr);
+    // Spectral solve: fully periodic with power-of-two extents (the solver
+    // checks the geometry), one global box, no PML/MR.
+    if (ba.size() != 1) {
+      throw std::invalid_argument("PSATD requires a single-box level; max_grid_size splits "
+                                  "the domain into " + std::to_string(ba.size()) + " boxes");
+    }
+    if (m_cfg.use_pml || m_patch != nullptr) {
+      throw std::invalid_argument("PSATD supports neither PML nor an MR patch");
+    }
     m_psatd = std::make_unique<fields::PsatdSolver<DIM>>(geom);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace mrpic::diag {
 
@@ -42,8 +43,13 @@ Spectrum energy_spectrum(const mrpic::particles::ParticleContainer<DIM>& pc, Rea
 
 BeamQuality analyze_beam(const Spectrum& s, Real charge_per_count) {
   BeamQuality q;
-  if (s.counts.empty()) { return q; }
   const auto peak_it = std::max_element(s.counts.begin(), s.counts.end());
+  if (peak_it == s.counts.end() || !(*peak_it > 0)) {
+    // No particle in the window: there is no peak to locate.
+    q.peak_energy = std::numeric_limits<Real>::quiet_NaN();
+    q.energy_spread = std::numeric_limits<Real>::quiet_NaN();
+    return q;
+  }
   const std::size_t pk = static_cast<std::size_t>(peak_it - s.counts.begin());
   q.peak_energy = s.bin_center(pk);
   const Real half = *peak_it / 2;

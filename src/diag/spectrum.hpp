@@ -31,6 +31,8 @@ struct BeamQuality {
 
 // Peak location, relative FWHM spread and integrated charge of a spectrum
 // (charge_per_count converts summed weights to Coulombs: |q| of the species).
+// When no bin holds positive weight, peak_energy and energy_spread are NaN
+// and charge is 0.
 BeamQuality analyze_beam(const Spectrum& s, Real charge_per_count);
 
 // Total |charge| of particles with kinetic energy above e_min [J] —

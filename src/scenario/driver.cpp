@@ -320,7 +320,9 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   // with the cadence series and the perf-report beam section).
   sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
   const Real mev = 1e6 * q_e;
-  if (sim.last_spectrum() != nullptr && sim.last_beam_moments() != nullptr) {
+  if (sim.last_spectrum() != nullptr && std::isnan(sim.last_spectrum()->beam.peak_energy)) {
+    std::printf("beam: no particles in the spectrum window\n");
+  } else if (sim.last_spectrum() != nullptr && sim.last_beam_moments() != nullptr) {
     const auto& beam = sim.last_spectrum()->beam;
     const auto& mom = *sim.last_beam_moments();
     std::printf("beam: spectral peak %.2f MeV (spread %.1f%%), %.3f pC/m, "

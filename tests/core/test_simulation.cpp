@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/core/simulation.hpp"
 
@@ -179,6 +180,44 @@ TEST(Simulation, ProfilerRecordsStages) {
   EXPECT_EQ(flat.at("particles").count, 3);
   EXPECT_EQ(flat.at("field_solve").count, 3);
   EXPECT_GT(flat.at("step").inclusive_s, 0.0);
+}
+
+// Spectral (PSATD) set-ups the solver cannot run are refused at init in every
+// build type.
+SimulationConfig<2> psatd_config() {
+  auto cfg = periodic_config();
+  cfg.max_grid_size = mrpic::IntVect2(32);
+  cfg.maxwell = MaxwellSolver::PSATD;
+  return cfg;
+}
+
+TEST(Simulation, PsatdNonPeriodicDomainThrows) {
+  auto cfg = psatd_config();
+  cfg.periodic = {true, false};
+  Simulation<2> sim(cfg);
+  EXPECT_THROW(sim.init(), std::invalid_argument);
+}
+
+TEST(Simulation, PsatdMultiBoxLevelThrows) {
+  auto cfg = psatd_config();
+  cfg.max_grid_size = mrpic::IntVect2(16);
+  Simulation<2> sim(cfg);
+  EXPECT_THROW(sim.init(), std::invalid_argument);
+}
+
+TEST(Simulation, PsatdWithPmlThrows) {
+  auto cfg = psatd_config();
+  cfg.use_pml = true;
+  Simulation<2> sim(cfg);
+  EXPECT_THROW(sim.init(), std::invalid_argument);
+}
+
+TEST(Simulation, PsatdWithMrPatchThrows) {
+  Simulation<2> sim(psatd_config());
+  mr::MRPatch<2>::Config patch;
+  patch.region = mrpic::Box2(mrpic::IntVect2(8, 8), mrpic::IntVect2(23, 23));
+  sim.enable_mr_patch(patch);
+  EXPECT_THROW(sim.init(), std::invalid_argument);
 }
 
 } // namespace

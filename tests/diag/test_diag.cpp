@@ -60,6 +60,21 @@ TEST(Spectrum, AnalyzeBeamPeakAndSpread) {
   EXPECT_NEAR(q.energy_spread, 0.118, 0.02);
 }
 
+TEST(Spectrum, AnalyzeBeamOnEmptySpectrumHasNoPeak) {
+  // No particle in the window: no peak (not the first bin's centre), no
+  // spread, no charge.
+  Spectrum s;
+  s.e_min = 2;
+  s.e_max = 20;
+  s.counts.assign(9, 0.0);
+  const auto q = analyze_beam(s, 1.0);
+  EXPECT_TRUE(std::isnan(q.peak_energy));
+  EXPECT_TRUE(std::isnan(q.energy_spread));
+  EXPECT_EQ(q.charge, 0.0);
+  s.counts.clear();
+  EXPECT_TRUE(std::isnan(analyze_beam(s, 1.0).peak_energy));
+}
+
 TEST(Spectrum, ChargeAboveThreshold) {
   const auto geom = make_geom();
   particles::ParticleContainer<2> pc(particles::Species::electron(),

@@ -8,6 +8,22 @@
 namespace mrpic::fields {
 namespace {
 
+std::vector<Complex> random_complex(std::size_t n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1, 1);
+  std::vector<Complex> a(n);
+  for (auto& v : a) { v = Complex(dist(rng), dist(rng)); }
+  return a;
+}
+
+std::vector<Real> random_real(std::size_t n, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> dist(-1, 1);
+  std::vector<Real> a(n);
+  for (auto& v : a) { v = dist(rng); }
+  return a;
+}
+
 TEST(Fft, PowerOfTwoPredicate) {
   EXPECT_TRUE(is_power_of_two(1));
   EXPECT_TRUE(is_power_of_two(64));
@@ -17,12 +33,13 @@ TEST(Fft, PowerOfTwoPredicate) {
 }
 
 TEST(Fft, NonPowerOfTwoLengthThrows) {
-  std::vector<Complex> a(48, Complex(0));
-  EXPECT_THROW(fft_1d(a.data(), 48, false), std::invalid_argument);
-  EXPECT_THROW(fft_1d(a.data(), 0, false), std::invalid_argument);
-  EXPECT_THROW(fft_1d(a.data(), -4, true), std::invalid_argument);
+  EXPECT_THROW(FftPlan(48), std::invalid_argument);
+  EXPECT_THROW(FftPlan(0), std::invalid_argument);
+  EXPECT_THROW(FftPlan(-4), std::invalid_argument);
+  EXPECT_THROW(FftPlan(16, 12), std::invalid_argument);
+  EXPECT_THROW(FftPlan(8, 4, 6), std::invalid_argument);
   try {
-    fft_1d(a.data(), 48, false);
+    FftPlan plan(48);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("48"), std::string::npos);
@@ -32,7 +49,7 @@ TEST(Fft, NonPowerOfTwoLengthThrows) {
 TEST(Fft, DeltaTransformsToFlatSpectrum) {
   std::vector<Complex> a(16, Complex(0));
   a[0] = Complex(1);
-  fft_1d(a.data(), 16, false);
+  FftPlan(16).forward(a.data());
   for (const auto& v : a) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -45,7 +62,7 @@ TEST(Fft, SingleModeLandsInSingleBin) {
   for (int i = 0; i < n; ++i) {
     a[i] = Complex(std::cos(2 * constants::pi * 3 * i / n), 0);
   }
-  fft_1d(a.data(), n, false);
+  FftPlan(n).forward(a.data());
   // cos(2 pi 3 x / L): power split between bins 3 and n-3, amplitude n/2.
   EXPECT_NEAR(std::abs(a[3]), n / 2.0, 1e-9);
   EXPECT_NEAR(std::abs(a[n - 3]), n / 2.0, 1e-9);
@@ -56,14 +73,11 @@ TEST(Fft, SingleModeLandsInSingleBin) {
 
 TEST(Fft, RoundTrip1D) {
   const int n = 64;
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> dist(-1, 1);
-  std::vector<Complex> a(n), orig(n);
-  for (auto& v : a) { v = Complex(dist(rng), dist(rng)); }
-  orig = a;
-  fft_1d(a.data(), n, false);
-  fft_1d(a.data(), n, true);
-  fft_normalize(a.data(), n, n);
+  auto a = random_complex(n, 3);
+  const auto orig = a;
+  const FftPlan plan(n);
+  plan.forward(a.data());
+  plan.inverse(a.data());
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(a[i].real(), orig[i].real(), 1e-12);
     EXPECT_NEAR(a[i].imag(), orig[i].imag(), 1e-12);
@@ -72,15 +86,14 @@ TEST(Fft, RoundTrip1D) {
 
 TEST(Fft, ParsevalEnergyPreserved) {
   const int n = 128;
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> dist(-1, 1);
   std::vector<Complex> a(n);
   double time_energy = 0;
-  for (auto& v : a) {
-    v = Complex(dist(rng), 0);
-    time_energy += std::norm(v);
+  const auto x = random_real(n, 7);
+  for (int i = 0; i < n; ++i) {
+    a[i] = Complex(x[i], 0);
+    time_energy += std::norm(a[i]);
   }
-  fft_1d(a.data(), n, false);
+  FftPlan(n).forward(a.data());
   double freq_energy = 0;
   for (const auto& v : a) { freq_energy += std::norm(v); }
   EXPECT_NEAR(freq_energy / n, time_energy, 1e-9 * time_energy);
@@ -88,14 +101,11 @@ TEST(Fft, ParsevalEnergyPreserved) {
 
 TEST(Fft, RoundTrip2D) {
   const int nx = 16, ny = 8;
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> dist(-1, 1);
-  std::vector<Complex> a(nx * ny), orig;
-  for (auto& v : a) { v = Complex(dist(rng), dist(rng)); }
-  orig = a;
-  fft_2d(a.data(), nx, ny, false);
-  fft_2d(a.data(), nx, ny, true);
-  fft_normalize(a.data(), nx * ny, nx * ny);
+  auto a = random_complex(nx * ny, 11);
+  const auto orig = a;
+  const FftPlan plan(nx, ny);
+  plan.forward(a.data());
+  plan.inverse(a.data());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(std::abs(a[i] - orig[i]), 0.0, 1e-11);
   }
@@ -103,14 +113,11 @@ TEST(Fft, RoundTrip2D) {
 
 TEST(Fft, RoundTrip3D) {
   const int nx = 8, ny = 4, nz = 16;
-  std::mt19937_64 rng(13);
-  std::uniform_real_distribution<double> dist(-1, 1);
-  std::vector<Complex> a(nx * ny * nz), orig;
-  for (auto& v : a) { v = Complex(dist(rng), dist(rng)); }
-  orig = a;
-  fft_3d(a.data(), nx, ny, nz, false);
-  fft_3d(a.data(), nx, ny, nz, true);
-  fft_normalize(a.data(), nx * ny * nz, nx * ny * nz);
+  auto a = random_complex(nx * ny * nz, 13);
+  const auto orig = a;
+  const FftPlan plan(nx, ny, nz);
+  plan.forward(a.data());
+  plan.inverse(a.data());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(std::abs(a[i] - orig[i]), 0.0, 1e-11);
   }
@@ -124,12 +131,63 @@ TEST(Fft, SeparableModeIn2D) {
       a[i + j * nx] = std::exp(Complex(0, 2 * constants::pi * (2.0 * i / nx + 5.0 * j / ny)));
     }
   }
-  fft_2d(a.data(), nx, ny, false);
+  FftPlan(nx, ny).forward(a.data());
   // exp(i(k2 x + k5 y)) -> single bin (2, 5) with amplitude nx*ny.
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const double expect = (i == 2 && j == 5) ? nx * ny : 0.0;
       EXPECT_NEAR(std::abs(a[i + j * nx]), expect, 1e-8) << i << "," << j;
+    }
+  }
+}
+
+// Grids of every dimensionality, including x extents of 1 and 2.
+const std::array<std::array<int, 3>, 8> kRealGrids = {{
+    {1, 1, 1}, {2, 1, 1}, {64, 1, 1}, {1, 8, 1}, {2, 8, 1}, {16, 8, 1}, {8, 4, 16}, {4, 2, 2},
+}};
+
+TEST(Fft, HalfSpectrumMatchesComplexTransform) {
+  for (const auto& n : kRealGrids) {
+    const FftPlan plan(n[0], n[1], n[2]);
+    const auto x = random_real(plan.num_points(), 17);
+    std::vector<Complex> full(x.begin(), x.end());
+    plan.forward(full.data());
+    std::vector<Complex> half(plan.num_half_modes());
+    plan.forward_real(x.data(), n[0], static_cast<std::int64_t>(n[0]) * n[1], half.data());
+    for (int mz = 0; mz < n[2]; ++mz) {
+      for (int my = 0; my < n[1]; ++my) {
+        for (int mx = 0; mx < plan.half_nx(); ++mx) {
+          const Complex h = half[mx + plan.half_nx() * (my + n[1] * mz)];
+          const Complex f = full[mx + n[0] * (my + n[1] * mz)];
+          EXPECT_NEAR(std::abs(h - f), 0.0, 1e-12)
+              << n[0] << "x" << n[1] << "x" << n[2] << " mode " << mx << "," << my << "," << mz;
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft, RealRoundTripThroughPitchedRows) {
+  // Rows padded by 3 values and planes by one extra row, as in a fab with
+  // ghost cells; the padding must be neither read into the spectrum nor
+  // written by the inverse.
+  for (const auto& n : kRealGrids) {
+    const FftPlan plan(n[0], n[1], n[2]);
+    const std::int64_t row = n[0] + 3, plane = row * (n[1] + 1);
+    const auto x = random_real(plane * n[2], 19);
+    std::vector<Complex> spectrum(plan.num_half_modes());
+    plan.forward_real(x.data(), row, plane, spectrum.data());
+    std::vector<Real> y(x.size(), 42.0);
+    plan.inverse_real(spectrum.data(), y.data(), row, plane);
+    for (int k = 0; k < n[2]; ++k) {
+      for (int j = 0; j <= n[1]; ++j) {
+        for (int i = 0; i < row; ++i) {
+          const std::int64_t at = i + j * row + k * plane;
+          const bool valid = i < n[0] && j < n[1];
+          EXPECT_NEAR(y[at], valid ? x[at] : 42.0, 1e-13)
+              << n[0] << "x" << n[1] << "x" << n[2] << " at " << i << "," << j << "," << k;
+        }
+      }
     }
   }
 }
