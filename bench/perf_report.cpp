@@ -1,6 +1,6 @@
 // perf_report — the automated attribution-report CLI over a recorder dump
 // (the {"format":"mrpic-ranks"} JSON written by obs::write_recorder_json,
-// e.g. lwfa_ranks.json from examples/laser_wakefield).
+// e.g. lwfa_mr_ranks.json from `mrpic_run --scenario lwfa_mr`).
 //
 //   perf_report [options] RANKS.json
 //

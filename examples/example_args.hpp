@@ -1,11 +1,10 @@
 #pragma once
 
-// Shared argv parsing for the example drivers: one place for the common
-// observability flags instead of per-example copies of the same strcmp
-// loop. --outdir is parsed by diag::OutputDir::from_args; this helper only
-// skips its value. Unknown flags are rejected with a usage message and
-// exit code 2 (a mistyped --helath silently ignored is a silently
-// unmonitored run).
+// Argv parsing for resilient_lwfa, the one example driver besides
+// mrpic_run (which parses its own flags in src/scenario/driver.cpp).
+// --outdir is parsed by diag::OutputDir::from_args; this helper only skips
+// its value. Unknown flags are rejected with a usage message and exit code
+// 2 (a mistyped --helath silently ignored is a silently unmonitored run).
 //
 //   --health              in-situ invariant ledger + watchdog (src/health)
 //   --insitu              in-situ physics registry + streaming (src/insitu)
@@ -16,37 +15,20 @@
 //                         and first-rank-to-OOM prediction (e.g. 16 =
 //                         Summit V100, 40 = Perlmutter A100; see
 //                         perf::Machine::hbm_gb_device). Implies --memory.
-//   --no-mr               disable the MR patch (MR-capable examples)
 //   <number>              t_end in femtoseconds (positional)
-//
-// Per-example flags (plasma_mirror --a0/--s-pol, boosted_frame --gamma)
-// register as ExtraFlag entries so they share the strict parse and the
-// usage text.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "src/core/simulation.hpp"
 
 namespace examples {
 
-// One example-specific flag: either a boolean switch (`flag`) or a flag
-// consuming one numeric value (`value`). Exactly one target must be set.
-struct ExtraFlag {
-  const char* name;        // e.g. "--gamma"
-  bool* flag = nullptr;    // boolean switch target
-  double* value = nullptr; // numeric-value target (consumes the next arg)
-  const char* help = "";
-};
-
 struct ExampleArgs {
   bool health = false;
   bool insitu = false;
   bool memory = false;
-  bool no_mr = false;
   double node_budget_gb = 0; // 0 = no budget configured
   double t_end = 0;          // seconds (default passed to parse, in fs)
 
@@ -59,8 +41,7 @@ struct ExampleArgs {
   }
 };
 
-inline void print_example_usage(const char* prog,
-                                const std::vector<ExtraFlag>& extras) {
+inline void print_example_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [options] [t_end_fs]\n"
                "  --outdir DIR          artifact directory (default out/)\n"
@@ -68,18 +49,11 @@ inline void print_example_usage(const char* prog,
                "  --insitu              in-situ physics series + streaming exporter\n"
                "  --memory              byte ledger + per-rank memory model\n"
                "  --node-budget-gb G    OOM headroom vs G GiB/rank (implies --memory)\n"
-               "  --no-mr               disable the MR patch\n",
+               "  t_end_fs              end time in femtoseconds (positional)\n",
                prog);
-  for (const auto& e : extras) {
-    std::fprintf(stderr, "  %-21s %s\n",
-                 (std::string(e.name) + (e.value != nullptr ? " V" : "")).c_str(),
-                 e.help);
-  }
-  std::fprintf(stderr, "  t_end_fs              end time in femtoseconds (positional)\n");
 }
 
-inline ExampleArgs parse_example_args(int argc, char** argv, double default_t_end_fs,
-                                      const std::vector<ExtraFlag>& extras = {}) {
+inline ExampleArgs parse_example_args(int argc, char** argv, double default_t_end_fs) {
   ExampleArgs a;
   a.t_end = default_t_end_fs * 1e-15;
   for (int i = 1; i < argc; ++i) {
@@ -92,33 +66,17 @@ inline ExampleArgs parse_example_args(int argc, char** argv, double default_t_en
     } else if (std::strcmp(argv[i], "--node-budget-gb") == 0 && i + 1 < argc) {
       a.node_budget_gb = std::atof(argv[++i]);
       a.memory = true;
-    } else if (std::strcmp(argv[i], "--no-mr") == 0) {
-      a.no_mr = true;
     } else if (std::strcmp(argv[i], "--outdir") == 0) {
       ++i; // value consumed by diag::OutputDir::from_args
     } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      print_example_usage(argv[0], extras);
+      print_example_usage(argv[0]);
       std::exit(0);
     } else if (argv[i][0] != '-') {
       a.t_end = std::atof(argv[i]) * 1e-15;
     } else {
-      bool matched = false;
-      for (const auto& e : extras) {
-        if (std::strcmp(argv[i], e.name) != 0) { continue; }
-        if (e.flag != nullptr) {
-          *e.flag = true;
-          matched = true;
-        } else if (e.value != nullptr && i + 1 < argc) {
-          *e.value = std::atof(argv[++i]);
-          matched = true;
-        }
-        break;
-      }
-      if (!matched) {
-        std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
-        print_example_usage(argv[0], extras);
-        std::exit(2);
-      }
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
+      print_example_usage(argv[0]);
+      std::exit(2);
     }
   }
   return a;

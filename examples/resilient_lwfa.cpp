@@ -1,6 +1,7 @@
-// Laser wakefield under fire: the LWFA run of laser_wakefield.cpp on a
-// 4-rank simulated cluster with an injected fault plan — one straggling
-// rank, a lossy wire, and a rank crash mid-run. The ResilientRunner
+// Laser wakefield under fire: a half-size stage of the registered "lwfa"
+// scenario (no MR patch, so no --no-mr flag) on a 4-rank simulated
+// cluster with an injected fault plan — one straggling rank, a lossy
+// wire, and a rank crash mid-run. The ResilientRunner
 // checkpoints on the Daly-optimal cadence, detects the crash, shrinks the
 // cluster to 3 ranks (re-homing the dead rank's boxes) and replays from the
 // last checkpoint; the physics finishes as if nothing happened (the

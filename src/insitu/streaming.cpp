@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace mrpic::insitu {
@@ -245,10 +246,8 @@ bool StreamWriter::write(const Frame& f) {
 }
 
 bool StreamWriter::write_manifest() const {
-  const std::string tmp = manifest_path() + ".tmp";
+  std::ostringstream os;
   {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
     obs::json::Writer w(os);
     w.begin_object()
         .field("schema", "mrpic.insitu.stream.v1")
@@ -284,9 +283,8 @@ bool StreamWriter::write_manifest() const {
     w.end_array();
     w.end_object();
     os << '\n';
-    if (!os) { return false; }
   }
-  return std::rename(tmp.c_str(), manifest_path().c_str()) == 0;
+  return obs::json::write_atomic(manifest_path(), os.str());
 }
 
 // --- reader ----------------------------------------------------------------

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ctime>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "src/obs/json.hpp"
@@ -90,21 +87,8 @@ bool ProgressHeartbeat::write(std::int64_t step, double sim_time_s,
       .field("last_alert_severity", last_alert_severity)
       .field("updated_unix", static_cast<std::int64_t>(std::time(nullptr)))
       .end_object();
-
-  const std::string tmp = m_cfg.path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
-    os << ss.str() << '\n';
-    os.flush();
-    if (!os) { return false; }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, m_cfg.path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
+  ss << '\n';
+  if (!json::write_atomic(m_cfg.path, ss.str())) { return false; }
   ++m_writes;
   return true;
 }

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 namespace mrpic::obs::json {
@@ -272,5 +274,24 @@ private:
 } // namespace
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+bool write_atomic(const std::string& path, std::string_view text) {
+  const std::string tmp = path + ".tmp";
+  bool ok = false;
+  {
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os) { return false; } // nothing was created
+    os << text;
+    os.flush();
+    ok = static_cast<bool>(os);
+  }
+  if (ok) {
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    ok = !ec;
+  }
+  if (!ok) { std::remove(tmp.c_str()); }
+  return ok;
+}
 
 } // namespace mrpic::obs::json

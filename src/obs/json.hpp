@@ -162,4 +162,12 @@ private:
 // offset) on malformed input or trailing garbage.
 Value parse(std::string_view text);
 
+// --- files ------------------------------------------------------------------
+
+// Replace the file at `path` with `text` atomically: write `path`.tmp,
+// flush, rename it over `path`, so a concurrent reader sees the old
+// document or the new one, never a torn one. Returns false when any step
+// fails, and then leaves no .tmp behind.
+bool write_atomic(const std::string& path, std::string_view text);
+
 } // namespace mrpic::obs::json

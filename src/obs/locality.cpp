@@ -31,6 +31,36 @@ double reuse_fraction(const std::vector<std::int64_t>& keys) {
   return static_cast<double>(hits) / static_cast<double>(keys.size() - 1);
 }
 
+// reuse_fraction of the keys in sorted order, without sorting them when
+// they span a narrow range (a tile's cell keys span at most its cell count):
+// a count per key, walked in key order, visits exactly the sorted sequence.
+// Repeats of a key are stride-0 hits; each step to the next present key is
+// one pair of the sorted order. Wide ranges fall back to std::sort.
+double sorted_reuse_fraction(const std::vector<std::int64_t>& keys) {
+  if (keys.size() < 2) { return 0; }
+  const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(*hi_it) - static_cast<std::uint64_t>(*lo_it);
+  if (span >= 16 * static_cast<std::uint64_t>(keys.size())) {
+    std::vector<std::int64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    return reuse_fraction(sorted);
+  }
+  const std::int64_t lo = *lo_it;
+  std::vector<std::int32_t> count(static_cast<std::size_t>(span) + 1, 0);
+  for (const std::int64_t k : keys) { ++count[static_cast<std::size_t>(k - lo)]; }
+  std::int64_t hits = 0;
+  std::int64_t prev = -1;
+  for (std::size_t k = 0; k < count.size(); ++k) {
+    if (count[k] == 0) { continue; }
+    hits += count[k] - 1;
+    const auto key = static_cast<std::int64_t>(k);
+    if (prev >= 0 && key - prev < kCellsPerCacheLine) { ++hits; }
+    prev = key;
+  }
+  return static_cast<double>(hits) / static_cast<double>(keys.size() - 1);
+}
+
 } // namespace
 
 TileLocality locality_from_keys(const std::vector<std::int64_t>& keys) {
@@ -52,15 +82,14 @@ TileLocality locality_from_keys(const std::vector<std::int64_t>& keys) {
   loc.inversion_fraction =
       static_cast<double>(inversions) / static_cast<double>(npairs);
   loc.mean_stride_cells = stride_sum / static_cast<double>(npairs);
-  std::sort(strides.begin(), strides.end());
+  // The p99 is one order statistic: selecting it is O(n), a full sort is not.
   const std::size_t p99_idx =
       static_cast<std::size_t>(std::floor(0.99 * static_cast<double>(npairs - 1)));
+  std::nth_element(strides.begin(),
+                   strides.begin() + static_cast<std::ptrdiff_t>(p99_idx), strides.end());
   loc.p99_stride_cells = static_cast<double>(strides[p99_idx]);
   loc.line_reuse = reuse_fraction(keys);
-
-  std::vector<std::int64_t> sorted = keys;
-  std::sort(sorted.begin(), sorted.end());
-  loc.sorted_line_reuse = reuse_fraction(sorted);
+  loc.sorted_line_reuse = sorted_reuse_fraction(keys);
 
   const double miss_now = 1.0 - kLineReuseSaving * loc.line_reuse;
   const double miss_sorted = 1.0 - kLineReuseSaving * loc.sorted_line_reuse;

@@ -12,8 +12,8 @@
 //    BENCH_*.json.
 //
 // Producers: the perf_report CLI (bench/perf_report.cpp) over a recorder
-// dump, the scaling benches under --attribution, and examples
-// (laser_wakefield) directly through this API.
+// dump, the scaling benches under --attribution, and the mrpic_run driver
+// (<pfx>_perf_report.{md,json}) directly through this API.
 
 #include <cstdint>
 #include <iosfwd>

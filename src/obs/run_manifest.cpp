@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -96,21 +95,7 @@ std::string manifest_json(const RunManifest& m) {
 }
 
 bool write_manifest_atomic(const RunManifest& m, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) { return false; }
-    os << manifest_json(m) << '\n';
-    os.flush();
-    if (!os) { return false; }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return json::write_atomic(path, manifest_json(m) + '\n');
 }
 
 RunManifest parse_manifest(const json::Value& doc) {

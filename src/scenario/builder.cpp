@@ -22,7 +22,7 @@ std::unique_ptr<core::Simulation<2>> build_simulation(const ScenarioSpec& spec,
   auto sim = std::make_unique<core::Simulation<2>>(effective_sim_config(spec));
   for (const auto& sp : spec.species) { sim->add_species(sp.species, sp.injector); }
   for (const auto& lc : spec.lasers) { sim->add_laser(lc); }
-  if (spec.mr_patch && !opts.no_mr) { sim->enable_mr_patch(*spec.mr_patch); }
+  if (spec.mr_patch) { sim->enable_mr_patch(*spec.mr_patch); }
   if (spec.window.enabled) {
     sim->set_moving_window(spec.window.dir, spec.window.speed, spec.window.start_time);
   }

@@ -13,9 +13,8 @@
 namespace mrpic::scenario {
 
 struct BuildOptions {
-  bool no_mr = false; // strip the MR patch (the --no-mr flag)
-  bool init = true;   // call init() and apply species drifts; false lets the
-                      // caller enable pre-init observability first
+  bool init = true; // call init() and apply species drifts; false lets the
+                    // caller enable pre-init observability first
 };
 
 // Fold the cadences into the SimulationConfig (sort -> sort_interval,

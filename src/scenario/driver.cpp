@@ -37,9 +37,8 @@ struct ParseResult {
   bool ok = true;
 };
 
-ParseResult parse_options(int argc, char** argv, const char* forced_scenario) {
+ParseResult parse_options(int argc, char** argv) {
   ParseResult r;
-  if (forced_scenario != nullptr) { r.opt.scenario = forced_scenario; }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--scenario") == 0 && i + 1 < argc) {
@@ -111,14 +110,27 @@ void print_boost_table(const ScenarioSpec& spec) {
   std::printf("  %-26s %12.1f %12.1f\n", "laser duration [fs]",
               lc.duration / (g * (1 + b)) * 1e15, lc.duration * 1e15);
   if (!spec.species.empty()) {
-    const Real n_boost = 1; // per-profile; report the scale factor instead
-    (void)n_boost;
     std::printf("  %-26s %12s %12s\n", "plasma density", "n", "gamma*n");
     std::printf("  %-26s %12.3e %12s\n", "plasma drift u_x [m/s]", frame.plasma_drift_ux(),
                 "");
   }
   std::printf("  expected speedup vs lab frame: %.1fx  [(1+beta)^2 gamma^2, Vay 2007]\n",
               boost::BoostedFrame::speedup_estimate(g));
+}
+
+// An energy [J] in eV, keV or MeV, whichever keeps the mantissa below 1000
+// (a 100 eV thermal bulk and a 50 MeV beam both read naturally).
+std::string format_energy(Real joules) {
+  static const char* units[] = {"eV", "keV", "MeV"};
+  double v = joules / q_e;
+  int u = 0;
+  while (std::abs(v) >= 1000.0 && u < 2) {
+    v /= 1000.0;
+    ++u;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.2f %s", v, units[u]);
+  return std::string(buf);
 }
 
 } // namespace
@@ -209,12 +221,10 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   sim.enable_event_log(&elog);
   sim.profiler().set_tracing(true);
 
-  if (opt.memory) {
-    core::MemoryObsConfig mcfg;
-    mcfg.interval = 1;
-    mcfg.node_budget_gb = opt.node_budget_gb;
-    sim.enable_memory_obs(mcfg);
-  }
+  core::MemoryObsConfig mcfg;
+  mcfg.interval = 1;
+  mcfg.node_budget_gb = opt.node_budget_gb;
+  if (opt.memory) { sim.enable_memory_obs(mcfg); }
   if (opt.kernel_obs) { sim.enable_kernel_obs(); }
   std::string last_alert_severity;
   if (opt.health) {
@@ -319,15 +329,14 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   // Final reduced diagnostics through the insitu registry (one code path
   // with the cadence series and the perf-report beam section).
   sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
-  const Real mev = 1e6 * q_e;
   if (sim.last_spectrum() != nullptr && std::isnan(sim.last_spectrum()->beam.peak_energy)) {
     std::printf("beam: no particles in the spectrum window\n");
   } else if (sim.last_spectrum() != nullptr && sim.last_beam_moments() != nullptr) {
     const auto& beam = sim.last_spectrum()->beam;
     const auto& mom = *sim.last_beam_moments();
-    std::printf("beam: spectral peak %.2f MeV (spread %.1f%%), %.3f pC/m, "
+    std::printf("beam: spectral peak %s (spread %.1f%%), %.3f pC/m, "
                 "norm. emittance %.3f mm mrad, <gamma> %.1f\n",
-                beam.peak_energy / mev, 100 * beam.energy_spread,
+                format_energy(beam.peak_energy).c_str(), 100 * beam.energy_spread,
                 std::abs(mom.charge_C) * 1e12, mom.emit_ny * 1e6, mom.mean_gamma);
   }
 
@@ -356,9 +365,6 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   if (opt.memory) {
     const auto measured = sim.measured_mr_savings();
     const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
-    core::MemoryObsConfig mcfg;
-    mcfg.interval = 1;
-    mcfg.node_budget_gb = opt.node_budget_gb;
     report.memory = obs::summarize_memory(obs::memory_ledger(), sim.profiler(), &measured,
                                           &analytic, &sim.rank_recorder(),
                                           mcfg.budget_bytes());
@@ -400,6 +406,7 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   if (opt.health) { rc.manifest().num_alerts = sim.health()->num_alerts(); }
   rc.finalize(status, exit_code, sim.step_count(), sim.time(), reason);
 
+  sim.profiler().report(std::cout);
   std::printf("wrote %s_{history,field}.csv, %s_trace.json, %s_metrics.jsonl, "
               "%s_ranks.json, %s_perf_report.{md,json} in %s/\n",
               pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(),
@@ -416,9 +423,9 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   return exit_code;
 }
 
-int run_scenario_main(int argc, char** argv, const char* forced_scenario) {
+int run_scenario_main(int argc, char** argv) {
   const auto out = diag::OutputDir::from_args(argc, argv);
-  const ParseResult parsed = parse_options(argc, argv, forced_scenario);
+  const ParseResult parsed = parse_options(argc, argv);
   if (!parsed.ok) {
     print_usage(argv[0]);
     return 2;

@@ -3,8 +3,8 @@
 // The generic scenario driver behind the `mrpic_run` binary: one run
 // lifecycle (build spec -> enable observability per flags -> step loop with
 // ModuleRange cadences -> reduced diagnostics + perf report artifacts) for
-// every registered workload. Examples that used to hand-roll this loop call
-// run_scenario()/run_scenario_main() instead.
+// every registered workload. The run ends by printing the beam summary and
+// the profiler's region table to stdout.
 //
 //   mrpic_run --list
 //   mrpic_run --scenario <name> [--steps N] [--outdir DIR] [--health]
@@ -53,9 +53,7 @@ int run_scenario(const ScenarioSpec& spec, const RunOptions& opt,
                  const diag::OutputDir& out);
 
 // Full driver main: parse argv (including --outdir via diag::OutputDir),
-// handle --list, look up the scenario and run it. When `forced_scenario`
-// is non-null it preselects the scenario (the quickstart shim);
-// --scenario still overrides it.
-int run_scenario_main(int argc, char** argv, const char* forced_scenario = nullptr);
+// handle --list, look up the scenario and run it.
+int run_scenario_main(int argc, char** argv);
 
 } // namespace mrpic::scenario

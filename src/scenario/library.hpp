@@ -2,9 +2,8 @@
 
 // The built-in scenario library: factory functions for every registered
 // workload. register_builtin_scenarios (registry.hpp) wires these under
-// their canonical names; the parameterized factories are additionally
-// exposed here so examples can build off-registry variants (e.g.
-// boosted_frame --gamma G).
+// their canonical names; tests call the factories directly
+// (make_boosted_lwfa takes the boost gamma, registered at 2 and 4).
 
 #include "src/scenario/scenario_spec.hpp"
 

@@ -16,8 +16,9 @@ namespace {
 
 using namespace mrpic::constants;
 
-// The hybrid solid-gas target of examples/hybrid_target_mr.cpp at test
-// scale: foil slab resolved by the patch, gas behind it, leftward laser.
+// The hybrid solid-gas target of the registered hybrid_target_mr scenario
+// at test scale: foil slab resolved by the patch, gas behind it, leftward
+// laser.
 std::unique_ptr<core::Simulation<2>> build_hybrid_sim() {
   const Real wavelength = 0.8e-6;
   const Real nc = plasma::critical_density(wavelength);

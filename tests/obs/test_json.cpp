@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -143,6 +145,37 @@ TEST(JsonParse, ErrorsCarryByteOffsets) {
   EXPECT_THROW(parse(""), std::runtime_error);
   EXPECT_THROW(parse("[1, 2"), std::runtime_error);
   EXPECT_THROW(parse("[1] trailing"), std::runtime_error);
+}
+
+// --- atomic file replacement -------------------------------------------------
+
+TEST(JsonWriteAtomic, FailedWriteReturnsFalseAndLeavesNoTmp) {
+  // Into a missing directory: the .tmp cannot even be opened.
+  const std::string missing = "json_write_atomic_missing_dir/doc.json";
+  ASSERT_FALSE(std::filesystem::exists("json_write_atomic_missing_dir"));
+  EXPECT_FALSE(write_atomic(missing, "{}\n"));
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+
+  // Onto a non-empty directory: the .tmp is written and flushed, then the
+  // rename fails, and the .tmp must not stay behind.
+  const std::string dir = "json_write_atomic_target_dir";
+  std::filesystem::create_directories(dir + "/occupied");
+  EXPECT_FALSE(write_atomic(dir, "{}\n"));
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/occupied"));
+  std::filesystem::remove_all(dir);
+
+  // A successful write replaces the document whole.
+  const std::string path = "json_write_atomic_doc.json";
+  ASSERT_TRUE(write_atomic(path, "{\"v\":1}\n"));
+  ASSERT_TRUE(write_atomic(path, "{\"v\":2}\n"));
+  std::ifstream is(path);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  EXPECT_EQ(ss.str(), "{\"v\":2}\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 } // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <utility>
 
 #include "src/cluster/sim_cluster.hpp"
 #include "src/dist/distribution_mapping.hpp"
@@ -146,6 +149,41 @@ TEST(KernelLocality, ShuffledKeysInvertHalf) {
   // Degenerate inputs.
   EXPECT_DOUBLE_EQ(locality_from_keys({}).predicted_sort_speedup, 1.0);
   EXPECT_DOUBLE_EQ(locality_from_keys({42}).predicted_sort_speedup, 1.0);
+}
+
+TEST(KernelLocality, SortedReuseAndP99MatchSortedOrderDefinition) {
+  // sorted_line_reuse and p99_stride_cells must equal their definitions on
+  // the fully sorted sequences, for narrow key ranges with repeats (counted
+  // without a sort) and for sparse wide ranges (sorted), negatives included.
+  const auto reference = [](std::vector<std::int64_t> keys) {
+    std::vector<std::int64_t> strides;
+    for (std::size_t p = 1; p < keys.size(); ++p) {
+      strides.push_back(std::llabs(keys[p] - keys[p - 1]));
+    }
+    std::sort(strides.begin(), strides.end());
+    const double p99 = static_cast<double>(strides[static_cast<std::size_t>(
+        std::floor(0.99 * static_cast<double>(strides.size() - 1)))]);
+    std::sort(keys.begin(), keys.end());
+    std::int64_t hits = 0;
+    for (std::size_t p = 1; p < keys.size(); ++p) {
+      if (keys[p] - keys[p - 1] < kCellsPerCacheLine) { ++hits; }
+    }
+    return std::pair{p99, static_cast<double>(hits) /
+                              static_cast<double>(keys.size() - 1)};
+  };
+  std::mt19937_64 rng(11);
+  for (const std::int64_t range : {2, 8, 100, 1024, 100000, 10000000}) {
+    for (const std::int64_t offset : {std::int64_t(0), std::int64_t(-5000)}) {
+      std::uniform_int_distribution<std::int64_t> pick(offset, offset + range - 1);
+      std::vector<std::int64_t> keys(1024);
+      for (auto& k : keys) { k = pick(rng); }
+      const auto [p99, sorted_reuse] = reference(keys);
+      const auto l = locality_from_keys(keys);
+      EXPECT_EQ(l.p99_stride_cells, p99) << "range " << range << " offset " << offset;
+      EXPECT_EQ(l.sorted_line_reuse, sorted_reuse)
+          << "range " << range << " offset " << offset;
+    }
+  }
 }
 
 TEST(KernelLocality, MergeIsPairWeighted) {
