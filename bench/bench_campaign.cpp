@@ -204,7 +204,7 @@ void write_synthetic_run(const std::string& dir, const std::string& scenario,
 
   {
     insitu::Registry ireg;
-    ireg.open_series(pfx + "_insitu.jsonl", false);
+    ireg.open_series(pfx + "_insitu.jsonl");
     ireg.add("beam", 1, [emit_ny](insitu::Record& rec) {
       rec.set("emit_ny_m_rad", emit_ny);
     });

@@ -9,22 +9,23 @@
 //
 // Run: ./resilient_lwfa [--outdir DIR] [--health] [--insitu] [--memory]
 //                       [--node-budget-gb G] [t_end_fs]
-// With --memory, every incarnation publishes the process-global byte ledger
-// as mem_* gauges; because the ledger outlives any one Simulation, the
-// high-water mark carries across crash -> shrink -> replay, so the final
-// print shows the worst footprint of the whole campaign (asserted by the
-// memory tests).
-// With --health, every rebuilt simulation (initial + post-recovery replays)
-// carries the invariant ledger + watchdog; alerts land in
-// resil_alerts.jsonl and the final ledger in resil_health.jsonl.
-// With --insitu, every incarnation also runs the in-situ physics registry;
-// the resil_insitu.jsonl series is opened in append mode by replay
-// incarnations, so it stays continuous across crash -> shrink -> replay
+// With --memory, the simulation publishes the process-global byte ledger as
+// mem_* gauges; the ledger outlives any one Simulation, so the final print's
+// high-water mark is the worst footprint of the whole campaign, crash ->
+// shrink -> replay included (asserted by the memory tests).
+// With --health, the simulation carries the invariant ledger + watchdog;
+// alerts land on the event timeline and the final ledger in
+// resil_health.jsonl.
+// With --insitu, it also runs the in-situ physics registry; the runner
+// restores checkpoints into the same simulation, so the resil_insitu.jsonl
+// series stays open and continuous across crash -> shrink -> replay
 // (reader-side canonicalize collapses the replayed overlap).
-// Output (in --outdir, default out/): resil_trace.json (Chrome/Perfetto
-//         trace: rank lanes + crash/detect/rollback/remap/replay instants),
-//         resil_metrics.jsonl (per-step metrics incl. resil_* counters),
-//         resil_rank_heatmap.csv, and a recovery report on stdout.
+// Output (in --outdir, default out/): resil_events.jsonl (the durable event
+//         timeline: crash/detect/rollback/remap/replay, checkpoints, health
+//         alerts), resil_trace.json (Chrome/Perfetto trace: rank lanes +
+//         the same fault instants), resil_metrics.jsonl (per-step metrics
+//         incl. resil_* counters), resil_rank_heatmap.csv, and a recovery
+//         report on stdout.
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,7 @@
 
 #include "src/diag/output_dir.hpp"
 #include "src/insitu/registry.hpp"
+#include "src/obs/event_log.hpp"
 #include "src/obs/trace.hpp"
 #include "src/resil/resilient_runner.hpp"
 #include "src/scenario/builder.hpp"
@@ -49,9 +51,8 @@ int main(int argc, char** argv) {
   const bool with_insitu = args.insitu;
   const Real t_end = args.t_end;
 
-  // The half-size LWFA stage as a local (off-registry) ScenarioSpec: the
-  // ResilientRunner rebuilds the simulation from scratch after every crash,
-  // so the declarative spec is the natural factory input.
+  // The half-size LWFA stage as a local (off-registry) ScenarioSpec, the
+  // declarative input of the runner's factory.
   scenario::ScenarioSpec spec;
   spec.sim.domain = Box2(IntVect2(0, 0), IntVect2(299, 49));
   spec.sim.prob_lo = RealVect2(0, 0);
@@ -81,30 +82,30 @@ int main(int argc, char** argv) {
   }
   spec.window = {true, 0, c, /*start_time=*/30e-15};
 
-  int incarnation = 0; // 0 = initial sim, >0 = post-recovery replays
-  const auto factory = [&args, &spec, with_health, with_insitu, &incarnation, &out] {
+  // The durable timeline of the run the runner drives (outlives it).
+  obs::EventLogConfig ecfg;
+  ecfg.path = out.path("resil_events.jsonl");
+  obs::EventLog elog(ecfg);
+
+  const auto factory = [&args, &spec, with_health, with_insitu, &elog, &out] {
     scenario::BuildOptions bopt;
-    bopt.init = false; // per-incarnation observability first, then init
+    bopt.init = false; // observability first, then init
     auto sim = scenario::build_simulation(spec, bopt);
     sim->enable_cluster_obs();
+    sim->enable_event_log(&elog);
     sim->profiler().set_tracing(true);
     if (args.memory) { sim->enable_memory_obs(args.memory_cfg()); }
     if (with_health) {
-      // Every incarnation of the sim (initial and the post-recovery
-      // replays) watches its own invariants; the alerts file is shared and
-      // appended across incarnations within this process.
       health::MonitorConfig hcfg;
       hcfg.nan_interval = 1;
       hcfg.residual_interval = 25;
-      hcfg.alerts_path = out.path("resil_alerts.jsonl");
       hcfg.watchdog.bounds.push_back(
           {"max_gamma", 0.0, 1e4, health::Severity::Warn, {}});
       sim->enable_health(hcfg);
     }
     if (with_insitu) {
-      // The physics series survives the crash: the initial incarnation
-      // truncates, every replay incarnation appends (each record is
-      // flushed as it is written, so nothing of the pre-crash run is lost).
+      // Each record is flushed as it is written, so the series survives
+      // the crash; the replay appends to it after the rollback.
       insitu::InsituConfig icfg;
       icfg.moments_interval = 5;
       icfg.spectrum_interval = 25;
@@ -116,19 +117,16 @@ int main(int argc, char** argv) {
       icfg.spectrum_e_max_J = 30e6 * q_e;
       icfg.spectrum_bins = 60;
       icfg.series_path = out.path("resil_insitu.jsonl");
-      icfg.series_append = incarnation > 0;
       sim->enable_insitu(icfg);
     }
-    ++incarnation;
     sim->init();
     return sim;
   };
 
-  // Size the run from the requested end time (dt is config-determined).
-  const int total_steps = [&] {
-    auto probe = factory();
-    return static_cast<int>(t_end / probe->dt()) + 1;
-  }();
+  // Size the run from the requested end time (dt is config-determined); the
+  // bare probe simulation publishes nothing.
+  const int total_steps =
+      static_cast<int>(t_end / scenario::build_simulation(spec)->dt()) + 1;
 
   resil::ResilientRunner<2>::Config rcfg;
   rcfg.total_steps = total_steps;
@@ -188,15 +186,14 @@ int main(int argc, char** argv) {
                 static_cast<long long>(sim.health()->num_alerts()));
   }
   if (args.memory) {
-    // High water is the campaign-wide peak: the process-global ledger
-    // carried it across every crash -> shrink -> replay incarnation.
+    // High water is the campaign-wide peak of the process-global ledger.
     const auto& ledger = obs::memory_ledger();
-    std::printf("  memory: %s live in the surviving incarnation, campaign high "
-                "water %s\n",
+    std::printf("  memory: %s live at the end, campaign high water %s\n",
                 obs::format_bytes(double(ledger.total_current())).c_str(),
                 obs::format_bytes(double(ledger.total_high_water())).c_str());
   }
-  std::printf("wrote resil_trace.json, resil_metrics.jsonl, resil_rank_heatmap.csv in %s/\n",
-              out.dir().c_str());
+  std::printf("wrote resil_events.jsonl (%lld events), resil_trace.json, "
+              "resil_metrics.jsonl, resil_rank_heatmap.csv in %s/\n",
+              static_cast<long long>(elog.num_events()), out.dir().c_str());
   return rep.completed ? 0 : 1;
 }

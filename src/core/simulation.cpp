@@ -67,7 +67,8 @@ template <int DIM>
 obs::MrSavingsInputs Simulation<DIM>::mr_savings_inputs() const {
   obs::MrSavingsInputs in;
   in.dim = DIM;
-  in.ratio = m_patch ? m_patch->config().ratio : 1;
+  const bool patch = m_patch && m_patch->active();
+  in.ratio = patch ? m_patch->config().ratio : 1;
   in.bytes_per_real = static_cast<int>(sizeof(Real));
   const auto& ba = m_fields.box_array();
   const int ng = m_fields.num_ghost();
@@ -75,9 +76,8 @@ obs::MrSavingsInputs Simulation<DIM>::mr_savings_inputs() const {
     in.level0_grown_cells += ba[i].grown(ng).num_cells();
   }
   in.num_particles = total_particles();
-  // Patch storage persists after remove() (only the update is skipped), so
-  // the byte model keys on patch existence, not activity.
-  if (m_patch) {
+  // remove() frees the patch's storage: a removed patch costs no bytes.
+  if (patch) {
     const int ngf = m_patch->fine().num_ghost();
     in.fine_grown_cells = m_patch->fine_region().grown(ngf).num_cells();
     in.coarse_grown_cells = m_patch->region().grown(ngf).num_cells();
@@ -119,7 +119,7 @@ void Simulation<DIM>::enable_insitu(insitu::InsituConfig cfg) {
   m_insitu->set_metrics(&m_metrics);
   m_insitu->set_history_limit(m_insitu_cfg.history_limit);
   if (!m_insitu_cfg.series_path.empty()) {
-    m_insitu->open_series(m_insitu_cfg.series_path, m_insitu_cfg.series_append);
+    m_insitu->open_series(m_insitu_cfg.series_path);
   }
   if (m_insitu_cfg.stream_interval > 0 && !m_insitu_cfg.stream.basename.empty()) {
     m_insitu_stream = std::make_unique<insitu::StreamWriter>(m_insitu_cfg.stream);

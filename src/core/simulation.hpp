@@ -210,7 +210,7 @@ public:
   obs::MrSavingsInputs mr_savings_inputs() const;
   // Ledger-measured MR savings factor (uniform-fine-equivalent / actual).
   obs::MrSavings measured_mr_savings() const {
-    const int ratio = m_patch ? m_patch->config().ratio : 1;
+    const int ratio = m_patch && m_patch->active() ? m_patch->config().ratio : 1;
     return obs::measure_mr_savings(obs::memory_ledger(), ratio, DIM);
   }
   // Modeled per-rank resident bytes of the most recent observed step (empty
@@ -239,8 +239,8 @@ public:
   // Gauss/continuity residuals on every active level) inside a "health"
   // profiler region, so probe overhead is attributable like any other stage.
   // Watchdog alert actions are honored at the end of the step: checkpoint-now
-  // arms the checkpoint policy (set_checkpoint_policy), abort flushes the
-  // monitor's registered telemetry sinks and throws health::AbortError.
+  // arms the checkpoint policy (set_checkpoint_policy), abort throws
+  // health::AbortError.
   // Callable before or after init().
   void enable_health(health::MonitorConfig cfg = {});
   bool health_enabled() const { return m_health != nullptr; }
@@ -272,15 +272,6 @@ public:
   const insitu::Registry* insitu() const { return m_insitu.get(); }
   const insitu::InsituConfig& insitu_config() const { return m_insitu_cfg; }
   insitu::StreamWriter* insitu_stream() { return m_insitu_stream.get(); }
-  // Most recent spectrum/moments computed by the registry (nullptr until
-  // the diagnostic first runs) — examples write their CSVs from these so
-  // file output and gauges come from one code path.
-  const insitu::SpectrumSummary* last_spectrum() const {
-    return m_last_spectrum ? &*m_last_spectrum : nullptr;
-  }
-  const insitu::BeamMoments* last_beam_moments() const {
-    return m_last_moments ? &*m_last_moments : nullptr;
-  }
 
   // Cumulative particle-loss accounting (also in the ledger): particles that
   // left the domain through boundaries / were dropped at the moving-window
@@ -411,8 +402,6 @@ private:
   std::unique_ptr<insitu::Registry> m_insitu;      // set by enable_insitu()
   insitu::InsituConfig m_insitu_cfg;
   std::unique_ptr<insitu::StreamWriter> m_insitu_stream;
-  std::optional<insitu::SpectrumSummary> m_last_spectrum;
-  std::optional<insitu::BeamMoments> m_last_moments;
   Real m_cfl_limit_dt = 0;
   std::int64_t m_escaped_total = 0;
   std::int64_t m_swept_total = 0;

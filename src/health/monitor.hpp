@@ -9,13 +9,13 @@
 //  - publishes every ledger quantity as a health_* gauge so the series
 //    lands in the obs::MetricsRegistry JSONL alongside the perf metrics,
 //  - runs the Watchdog and logs each alert — to stderr, to the alert
-//    callback, and (when alerts_path is set) appended + flushed to an
-//    alerts JSONL file immediately, so the terminal alert of a dying run is
-//    already on disk before any abort unwinds,
+//    callback, and as a "health"/"alert" event on the obs::EventLog
+//    timeline, whose durable file flushes it at emission, so the terminal
+//    alert of a dying run is already on disk before any abort unwinds,
 //  - latches the requested actions: checkpoint_requested() is consumed by
 //    the Simulation to arm resil::CheckpointPolicy::request_now();
-//    abort_requested() makes the Simulation flush() every registered
-//    telemetry sink and throw health::AbortError.
+//    abort_requested() makes the Simulation throw health::AbortError, and
+//    the driver that catches it writes its artifacts as on any other exit.
 //
 // record() and the snapshot accessors are mutex-guarded so probes can be
 // hammered from concurrent drivers (the TSan suite does); the by-reference
@@ -32,10 +32,6 @@
 #include "src/health/watchdog.hpp"
 #include "src/obs/metrics.hpp"
 
-namespace mrpic::obs {
-class EventLog;
-}
-
 namespace mrpic::health {
 
 struct MonitorConfig {
@@ -48,16 +44,13 @@ struct MonitorConfig {
   int residual_interval = 0;
   // Ledger rows kept in memory (0 = unbounded).
   std::size_t history_limit = 4096;
-  // When set, every alert is appended to this JSONL file and flushed as it
-  // is raised (durable across aborts/crashes).
-  std::string alerts_path;
   // Echo alerts to stderr (on by default: a dying run should say why).
   bool log_to_stderr = true;
   WatchdogConfig watchdog;
 };
 
-// Thrown by Simulation::step() when an alert with the abort action fired;
-// telemetry has been flushed by then.
+// Thrown by Simulation::step() at the end of the step in which an alert
+// with the abort action fired.
 class AbortError : public std::runtime_error {
 public:
   explicit AbortError(Alert alert);
@@ -94,8 +87,9 @@ public:
   void set_metrics(obs::MetricsRegistry* m);
   // Invoked for every alert, after it is logged.
   void set_alert_callback(std::function<void(const Alert&)> cb);
-  // Unified event timeline: every alert also publishes a "health" event
-  // with the matching severity (non-owning; nullptr = off).
+  // Unified event timeline: every alert publishes a "health"/"alert" event
+  // (step, severity, message; value, bound, checkpoint, abort as data) —
+  // the only place alerts reach disk (non-owning; nullptr = off).
   void set_event_log(obs::EventLog* log);
 
   // --- actions ------------------------------------------------------------
@@ -105,13 +99,6 @@ public:
   bool abort_requested() const;
   // The alert that requested the abort (meaningful when abort_requested()).
   Alert abort_alert() const;
-
-  // --- flush-on-abort -----------------------------------------------------
-  // Sinks run (registration order) by flush(): e.g. metrics JSONL + Chrome
-  // trace writers. Simulation::step() calls flush() before throwing
-  // AbortError, so the telemetry of the dying step is on disk.
-  void add_flush_sink(std::function<void()> sink);
-  void flush();
 
   // --- inspection ---------------------------------------------------------
   // Single-threaded accessors (post-run).
@@ -125,9 +112,8 @@ public:
   std::int64_t num_alerts() const;
   std::int64_t num_alerts(Severity s) const;
 
-  // Full ledger history / alert log as JSONL (one object per line).
+  // Full ledger history as JSONL (one object per line).
   bool write_ledger_jsonl(const std::string& path) const;
-  bool write_alerts_jsonl(const std::string& path) const;
 
 private:
   void publish(const LedgerSample& s);
@@ -138,7 +124,6 @@ private:
   obs::MetricsRegistry* m_metrics = nullptr;
   obs::EventLog* m_event_log = nullptr;
   std::function<void(const Alert&)> m_alert_cb;
-  std::vector<std::function<void()>> m_flush_sinks;
 
   mutable std::mutex m_mu;
   std::deque<LedgerSample> m_history;
@@ -147,7 +132,6 @@ private:
   bool m_checkpoint_latch = false;
   bool m_abort = false;
   Alert m_abort_alert;
-  bool m_alerts_file_started = false;  // truncate on first append
 };
 
 } // namespace mrpic::health

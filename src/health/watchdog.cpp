@@ -3,32 +3,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "src/obs/json.hpp"
-
 namespace mrpic::health {
-
-const char* to_string(Severity s) {
-  switch (s) {
-    case Severity::Info: return "info";
-    case Severity::Warn: return "warn";
-    case Severity::Critical: return "critical";
-  }
-  return "?";
-}
-
-void write_alert(const Alert& a, std::ostream& os) {
-  obs::json::Writer w(os);
-  w.begin_object();
-  w.field("step", a.step);
-  w.field("severity", to_string(a.severity));
-  w.field("quantity", a.quantity);
-  w.field("value", a.value);
-  w.field("bound", a.bound);
-  w.field("checkpoint", a.checkpoint);
-  w.field("abort", a.abort);
-  w.field("message", a.message);
-  w.end_object();
-}
 
 double EwmaDetector::update(double v) {
   if (!std::isfinite(v)) { return std::numeric_limits<double>::quiet_NaN(); }

@@ -15,30 +15,30 @@
 //    standard deviations, after a warm-up of `warmup` samples.
 //
 // Alerts carry the requested actions (warn is implicit: every alert is
-// logged and counted); the monitor/Simulation layer executes them. An alert
+// logged, counted and published to the event timeline); the
+// monitor/Simulation layer executes them. An alert
 // that keeps firing on consecutive evaluations is deduplicated: emitted
 // once when it starts, re-armed only after the condition clears.
 
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/health/ledger.hpp"
+#include "src/obs/event_log.hpp"
 
 namespace mrpic::health {
 
-enum class Severity { Info, Warn, Critical };
-
-const char* to_string(Severity s);
+// Alert severities are the event timeline's (obs::to_string names them).
+using Severity = obs::EventSeverity;
 
 // What the run should do about an alert (logging/metrics always happen).
 struct ActionSpec {
   bool checkpoint = false;  // write a checkpoint immediately (resil policy)
-  bool abort = false;       // flush telemetry and stop the run cleanly
+  bool abort = false;       // stop the run cleanly (health::AbortError)
 };
 
 struct Alert {
@@ -51,9 +51,6 @@ struct Alert {
   bool abort = false;
   std::string message;
 };
-
-// One {"step":...,"severity":...,...} JSON object (no trailing newline).
-void write_alert(const Alert& a, std::ostream& os);
 
 struct BoundRule {
   std::string quantity;

@@ -74,8 +74,7 @@ private:
 // --- spectrum --------------------------------------------------------------
 
 // One reduced energy-spectrum result: the histogram plus the analyzed
-// peak/FWHM/charge (diag::analyze_beam). Kept whole so examples can still
-// write the binned spectrum CSV from the same numbers the registry publishes.
+// peak/FWHM/charge (diag::analyze_beam).
 struct SpectrumSummary {
   diag::Spectrum spectrum;
   diag::BeamQuality beam;

@@ -5,17 +5,18 @@
 // registered diagnostic is a closure that fills a flat Record of named
 // scalars; collect(step) runs every diagnostic that is due, publishes each
 // value as an `insitu_<diag>_<key>` gauge in the obs::MetricsRegistry, and
-// appends one JSON object per record to a durable JSONL series (append +
-// flush, like health alerts), so a crashed run's series survives and a
-// replayed incarnation (resil::ResilientRunner rebuilds the Simulation)
-// reopens it in append mode. Reader-side canonicalize() collapses the
-// overlap a rollback replays: per (diag, step) the last occurrence wins.
+// appends one JSON object per record to a durable series
+// (obs::json::JsonlWriter, flushed per record), so a crashed run's series
+// survives. A rollback restores a checkpoint into the same Simulation
+// (resil::ResilientRunner), so the open series keeps appending through the
+// replay; reader-side canonicalize() collapses the overlap: per
+// (diag, step) the last occurrence wins.
 //
 // The registry itself is physics-agnostic (closures + cadences);
 // core::Simulation::enable_insitu registers the standard diagnostics of
-// ISSUE/paper Figs. 6-7 — beam moments/emittance, spectrum peak/FWHM,
-// laser a0/centroid, wakefield amplitude, field energy — as lambdas over
-// its own state (src/core/simulation.cpp).
+// paper Figs. 6-7 — beam moments/emittance, spectrum peak/FWHM, laser
+// a0/centroid, wakefield amplitude, field energy — as lambdas over its own
+// state (src/core/pic_step.ipp).
 
 #include <cstdint>
 #include <deque>
@@ -28,6 +29,7 @@
 
 #include "src/diag/phase_space.hpp"
 #include "src/insitu/streaming.hpp"
+#include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace mrpic::insitu {
@@ -49,11 +51,6 @@ class Registry {
 public:
   using Compute = std::function<void(Record&)>;
 
-  Registry() = default;
-  ~Registry();
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
   // Same cadence rule as the health monitor.
   static bool due(std::int64_t step, int interval) {
     return interval > 0 && step % interval == 0;
@@ -70,10 +67,9 @@ public:
   // Records kept in memory (0 = unbounded).
   void set_history_limit(std::size_t n) { m_history_limit = n; }
 
-  // Open the durable JSONL series. append=false truncates (fresh run);
-  // append=true continues an existing file (replay incarnations). Every
-  // collected record is appended and flushed immediately.
-  bool open_series(const std::string& path, bool append);
+  // Open (truncate) the durable JSONL series; every collected record is
+  // appended and flushed immediately. Returns false when it cannot be opened.
+  bool open_series(const std::string& path);
   const std::string& series_path() const { return m_series_path; }
 
   // Run every diagnostic due at `step`: compute, publish gauges, append to
@@ -91,7 +87,10 @@ public:
   // One {"diag":...,"step":...,"time":...,"values":{...}} object per line.
   static void write_record(const Record& r, std::ostream& os);
   static Record parse_record(std::string_view line);
-  static std::vector<Record> read_series_jsonl(const std::string& path);
+  // Tolerant reader: a torn or malformed line is skipped and counted into
+  // *num_skipped when given; throws only when the file cannot be opened.
+  static std::vector<Record> read_series_jsonl(const std::string& path,
+                                               std::size_t* num_skipped = nullptr);
   // Collapse replayed overlap: per (diag, step) keep the LAST occurrence,
   // then sort by (step, diag). The result is the canonical run series.
   static std::vector<Record> canonicalize(std::vector<Record> records);
@@ -114,7 +113,7 @@ private:
   std::deque<Record> m_history;
   std::int64_t m_total_records = 0;
   std::string m_series_path;
-  void* m_series = nullptr;  // std::ofstream*, opaque (freed in the dtor)
+  obs::json::JsonlWriter m_series;
 };
 
 // --- simulation-facing configuration ---------------------------------------
@@ -147,7 +146,6 @@ struct InsituConfig {
 
   // Series / history.
   std::string series_path;      // "" = in-memory only
-  bool series_append = false;   // true for replay incarnations
   std::size_t history_limit = 4096;
 
   // Streaming exporter (stream_interval 0 or empty basename = off).

@@ -41,6 +41,17 @@ MRPatch<DIM>::MRPatch(const mrpic::Geometry<DIM>& parent_geom, const Config& cfg
 }
 
 template <int DIM>
+void MRPatch<DIM>::remove() {
+  m_active = false;
+  m_fine = fields::FieldSet<DIM>();
+  m_coarse = fields::FieldSet<DIM>();
+  m_fine_pml = fields::Pml<DIM>();
+  m_coarse_pml = fields::Pml<DIM>();
+  m_auxE = mrpic::MultiFab<DIM>();
+  m_auxB = mrpic::MultiFab<DIM>();
+}
+
+template <int DIM>
 bool MRPatch<DIM>::in_region(const mrpic::Geometry<DIM>& pg,
                              const std::array<Real, DIM>& x) const {
   if (!m_active) { return false; }

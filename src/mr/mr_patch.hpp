@@ -51,8 +51,9 @@ public:
 
   bool active() const { return m_active; }
   // Drop the refined level (fields under the region are already represented
-  // on the parent through the restricted currents).
-  void remove() { m_active = false; }
+  // on the parent through the restricted currents) and free its fine,
+  // coarse, PML and aux storage, and with it the "mr.patch.*" ledger charge.
+  void remove();
 
   const Config& config() const { return m_cfg; }
   const mrpic::Box<DIM>& region() const { return m_cfg.region; }

@@ -1,6 +1,5 @@
 #include "src/obs/bench_history.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -90,32 +89,13 @@ BenchHistoryEntry parse_bench_history_line(const std::string& line) {
 }
 
 bool append_bench_history(const std::string& path, const BenchHistoryEntry& entry) {
-  std::ofstream os(path, std::ios::app);
-  if (!os) { return false; }
-  os << bench_history_line(entry) << '\n';
-  os.flush();
-  return os.good();
+  json::JsonlWriter ledger;
+  return ledger.open(path, /*append=*/true) && ledger.append(bench_history_line(entry));
 }
 
 std::vector<BenchHistoryEntry> read_bench_history(const std::string& path,
                                                   std::size_t* num_skipped) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("cannot open bench history ledger: " + path);
-  }
-  std::vector<BenchHistoryEntry> entries;
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) { continue; }
-    try {
-      entries.push_back(parse_bench_history_line(line));
-    } catch (const std::exception&) {
-      ++skipped;  // malformed or schema-foreign line: skip, keep reading
-    }
-  }
-  if (num_skipped != nullptr) { *num_skipped = skipped; }
-  return entries;
+  return json::read_jsonl(path, parse_bench_history_line, num_skipped);
 }
 
 } // namespace mrpic::obs

@@ -1,14 +1,14 @@
 #pragma once
 
-// obs::bench_history — the cross-run perf trajectory ledger (ISSUE 9
-// satellite): every bench_smoke run appends one schema-tagged JSONL record
-// per BENCH_*.json it produced, so "did attainment drift over the last ten
-// commits" is answerable from the repo itself instead of from CI archaeology.
-// Records carry a curated subset of each bench's numeric leaves (the
-// headline metrics: efficiencies, speedups, overhead fractions, savings
-// factors, headrooms), extracted deterministically from the benchdiff
-// flattening. Appends are durable (open-append-flush per record, the health
-// alert idiom); the reader is tolerant like obs::read_metrics_jsonl — it
+// obs::bench_history — the cross-run perf trajectory ledger: every
+// bench_smoke run appends one schema-tagged JSONL record per BENCH_*.json it
+// produced, so "did attainment drift over the last ten commits" is
+// answerable from the repo itself instead of from CI archaeology. Records
+// carry a curated subset of each bench's numeric leaves (the headline
+// metrics: efficiencies, speedups, overhead fractions, savings factors,
+// headrooms), extracted deterministically from the benchdiff flattening.
+// The ledger is a durable series continued across runs (json::JsonlWriter
+// in append mode, flushed per record); the reader is json::read_jsonl — it
 // skips malformed lines AND valid-JSON lines whose schema tag is missing or
 // foreign, and reports the skipped count. bench_trend (bench/) is the CLI
 // over this.
@@ -47,8 +47,8 @@ std::string bench_history_line(const BenchHistoryEntry& entry);
 // missing/foreign schema tag.
 BenchHistoryEntry parse_bench_history_line(const std::string& line);
 
-// Durably append one entry (open in append mode, write, flush). Returns
-// false if the file cannot be opened.
+// Durably append one entry to the ledger (continued, never truncated).
+// Returns false if the file cannot be opened or written.
 bool append_bench_history(const std::string& path, const BenchHistoryEntry& entry);
 
 // Load a ledger. Malformed lines and lines without the bench_history schema

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/obs/json.hpp"
-
 namespace mrpic::obs {
 
 const char* to_string(EventSeverity s) {
@@ -32,7 +30,9 @@ double Event::value(const std::string& key) const {
 }
 
 EventLog::EventLog(EventLogConfig cfg)
-    : m_cfg(std::move(cfg)), m_start(std::chrono::steady_clock::now()) {}
+    : m_cfg(std::move(cfg)), m_start(std::chrono::steady_clock::now()) {
+  if (!m_cfg.path.empty()) { m_file.open(m_cfg.path); }
+}
 
 Event EventLog::publish(Event ev) {
   std::lock_guard<std::mutex> lock(m_mu);
@@ -41,17 +41,7 @@ Event EventLog::publish(Event ev) {
                   .count();
   ++m_counts[static_cast<int>(ev.severity)];
 
-  if (!m_cfg.path.empty()) {
-    if (!m_os_opened) {
-      m_os.open(m_cfg.path, m_cfg.append ? std::ios::app : std::ios::trunc);
-      m_os_opened = true;
-    }
-    if (m_os) {
-      write_event(ev, m_os);
-      m_os << '\n';
-      m_os.flush();  // durable before any abort unwinds
-    }
-  }
+  if (m_file.is_open()) { m_file.append(event_line(ev)); }  // durable before any abort
 
   m_history.push_back(ev);
   if (m_cfg.history_limit > 0 && m_history.size() > m_cfg.history_limit) {
@@ -146,21 +136,7 @@ Event EventLog::parse_event(const std::string& line) {
 
 std::vector<Event> EventLog::read_events_jsonl(const std::string& path,
                                                std::size_t* num_skipped) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("cannot open event log: " + path); }
-  std::vector<Event> events;
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) { continue; }
-    try {
-      events.push_back(parse_event(line));
-    } catch (const std::exception&) {
-      ++skipped;  // malformed or schema-foreign: tolerate, count, move on
-    }
-  }
-  if (num_skipped != nullptr) { *num_skipped = skipped; }
-  return events;
+  return json::read_jsonl(path, parse_event, num_skipped);
 }
 
 } // namespace mrpic::obs

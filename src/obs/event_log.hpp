@@ -1,30 +1,31 @@
 #pragma once
 
-// obs::EventLog — the unified per-run event timeline (ISSUE 10 tentpole).
-// Health alerts, resil fault/checkpoint/recovery events, load-balancer
-// rebalance snapshots and run lifecycle transitions all publish into one
-// severity-leveled log instead of four disjoint files, so a scheduler or a
-// post-mortem tool reads a single causally-ordered timeline per run.
+// obs::EventLog — the unified per-run event timeline. Health alerts, resil
+// fault/checkpoint/recovery events, load-balancer rebalance snapshots and
+// run lifecycle transitions all publish into one severity-leveled log, so
+// a scheduler or a post-mortem tool reads a single causally-ordered
+// timeline per run. Health alerts reach disk only here.
 //
 // Ordering contract: publish() assigns a monotone sequence number and a
 // monotone wall-clock offset (steady_clock since construction) under one
 // mutex, so the on-disk order, the seq order and the wall order all agree —
-// the campaign_smoke ctest gates this. Durability follows the health-alert
-// idiom: when a path is configured every event is appended and flushed at
+// the campaign_smoke ctest gates this. When a path is configured the file
+// is a durable series (json::JsonlWriter): every event is flushed at
 // emission, so the terminal event of a dying run is on disk before any
-// abort unwinds. The reader follows the metrics/insitu tolerance rules:
-// malformed lines AND valid-JSON lines whose schema tag is missing or
-// foreign are skipped and counted, never fatal.
+// abort unwinds. The reader is json::read_jsonl: malformed lines AND
+// valid-JSON lines whose schema tag is missing or foreign are skipped and
+// counted, never fatal.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/obs/json.hpp"
 
 namespace mrpic::obs {
 
@@ -55,10 +56,9 @@ struct Event {
 };
 
 struct EventLogConfig {
-  // Append+flush every event to this JSONL file ("" = in-memory only).
+  // Durable series every event is appended to ("" = in-memory only); the
+  // file is truncated when the log is constructed.
   std::string path;
-  // Reopen in append mode instead of truncating (replay incarnations).
-  bool append = false;
   // Events kept in memory (0 = unbounded). The file always gets everything.
   std::size_t history_limit = 65536;
 };
@@ -101,8 +101,7 @@ private:
   std::chrono::steady_clock::time_point m_start;
 
   mutable std::mutex m_mu;
-  std::ofstream m_os;  // open once; flushed per event
-  bool m_os_opened = false;
+  json::JsonlWriter m_file;
   std::int64_t m_next_seq = 0;
   std::int64_t m_counts[3] = {0, 0, 0};  // per-severity totals
   std::int64_t m_dropped = 0;

@@ -294,4 +294,18 @@ bool write_atomic(const std::string& path, std::string_view text) {
   return ok;
 }
 
+bool JsonlWriter::open(const std::string& path, bool append) {
+  m_os.close();
+  m_os.clear();
+  m_os.open(path, append ? std::ios::app : std::ios::trunc);
+  return m_os.is_open();
+}
+
+bool JsonlWriter::append(std::string_view line) {
+  if (!m_os.is_open()) { return false; }
+  m_os << line << '\n';
+  m_os.flush();
+  return m_os.good();
+}
+
 } // namespace mrpic::obs::json

@@ -9,14 +9,21 @@
 // levels (a hostile "[[[[..." fails cleanly instead of overflowing the
 // stack). Still not a general-purpose JSON library: numbers parse as
 // double, and objects are sorted maps (duplicate keys keep the first).
+// The file helpers at the end are the two idioms every artifact uses: an
+// atomic whole-document replace, and a durable JSONL series (one writer,
+// one tolerant reader).
 
 #include <cstdint>
+#include <exception>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mrpic::obs::json {
@@ -169,5 +176,45 @@ Value parse(std::string_view text);
 // document or the new one, never a torn one. Returns false when any step
 // fails, and then leaves no .tmp behind.
 bool write_atomic(const std::string& path, std::string_view text);
+
+// A durable series: an append-only JSONL file (one JSON document per line)
+// whose every line is flushed as it is written, so each complete record
+// survives a run that dies; a reader sees at most a torn last line.
+class JsonlWriter {
+public:
+  // Truncate `path` (a fresh series) or, with append, continue it. Closes
+  // any file opened before. Returns false when `path` cannot be opened.
+  bool open(const std::string& path, bool append = false);
+  bool is_open() const { return m_os.is_open(); }
+  // Write `line` and a newline, then flush. Returns false when no file is
+  // open or the write fails.
+  bool append(std::string_view line);
+
+private:
+  std::ofstream m_os;
+};
+
+// Tolerant reader of a JSONL file: `parse` maps each non-empty line to a
+// record. A line whose parse throws (a torn tail, a corrupt or foreign
+// line) is skipped and counted into *skipped when given. Throws
+// std::runtime_error only when the file cannot be opened.
+template <typename Parse>
+auto read_jsonl(const std::string& path, Parse&& parse, std::size_t* skipped = nullptr) {
+  std::ifstream is(path);
+  if (!is) { throw std::runtime_error("cannot open " + path); }
+  std::vector<std::decay_t<std::invoke_result_t<Parse&, const std::string&>>> out;
+  std::size_t bad = 0;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.empty()) { continue; }
+    try {
+      out.push_back(parse(line));
+    } catch (const std::exception&) {
+      ++bad;
+    }
+  }
+  if (skipped != nullptr) { *skipped = bad; }
+  return out;
+}
 
 } // namespace mrpic::obs::json

@@ -155,23 +155,7 @@ StepRecord MetricsRegistry::parse_record(const std::string& line) {
 
 std::vector<StepRecord> MetricsRegistry::read_jsonl(const std::string& path,
                                                     std::size_t* num_malformed) {
-  std::ifstream is(path);
-  if (!is) { throw std::runtime_error("cannot open metrics file: " + path); }
-  std::vector<StepRecord> out;
-  std::size_t malformed = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) { continue; }
-    try {
-      out.push_back(parse_record(line));
-    } catch (const std::runtime_error&) {
-      // Truncated tail, corrupt line, or valid JSON without the "step"
-      // schema tag: skip and count, keep what loads.
-      ++malformed;
-    }
-  }
-  if (num_malformed != nullptr) { *num_malformed = malformed; }
-  return out;
+  return json::read_jsonl(path, parse_record, num_malformed);
 }
 
 } // namespace mrpic::obs

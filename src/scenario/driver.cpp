@@ -205,7 +205,6 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   rc.add_artifact("ranks", out.path(pfx + "_ranks.json"));
   rc.add_artifact("perf_report_md", out.path(pfx + "_perf_report.md"));
   rc.add_artifact("perf_report_json", out.path(pfx + "_perf_report.json"));
-  if (opt.health) { rc.add_artifact("alerts", out.path(pfx + "_alerts.jsonl")); }
   if (opt.insitu) { rc.add_artifact("insitu", out.path(pfx + "_insitu.jsonl")); }
   if (opt.memory) { rc.add_artifact("memory_heatmap", out.path("memory_heatmap.csv")); }
   rc.start();
@@ -228,11 +227,9 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   if (opt.kernel_obs) { sim.enable_kernel_obs(); }
   std::string last_alert_severity;
   if (opt.health) {
-    health::MonitorConfig hcfg = spec.health;
-    hcfg.alerts_path = out.path(pfx + "_alerts.jsonl");
-    sim.enable_health(hcfg);
+    sim.enable_health(spec.health);
     sim.health()->set_alert_callback([&last_alert_severity](const health::Alert& a) {
-      last_alert_severity = health::to_string(a.severity);
+      last_alert_severity = obs::to_string(a.severity);
     });
   }
   {
@@ -255,16 +252,6 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   sim.init();
   apply_species_drifts(sim, spec);
 
-  if (opt.health) {
-    sim.health()->add_flush_sink(
-        [&] { sim.metrics().write_jsonl(out.path(pfx + "_metrics.jsonl")); });
-    sim.health()->add_flush_sink([&] {
-      obs::write_chrome_trace(sim.profiler(), sim.rank_recorder(),
-                              out.path(pfx + "_trace.json"), spec.name);
-    });
-    sim.health()->add_flush_sink(
-        [&] { sim.health()->write_ledger_jsonl(out.path(pfx + "_health.jsonl")); });
-  }
   if (spec.cadences.checkpoint.enabled && spec.cadences.checkpoint.every > 0) {
     resil::CheckpointPolicyConfig ccfg;
     ccfg.mode = resil::CheckpointMode::Periodic;
@@ -327,17 +314,24 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   record_row();
 
   // Final reduced diagnostics through the insitu registry (one code path
-  // with the cadence series and the perf-report beam section).
+  // with the cadence series and the perf-report beam section). A record
+  // without values means the diagnostic had nothing to measure.
   sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
-  if (sim.last_spectrum() != nullptr && std::isnan(sim.last_spectrum()->beam.peak_energy)) {
+  const auto last_measured = [&](const char* diag) {
+    const insitu::Record* r = sim.insitu()->last(diag);
+    return r != nullptr && !r->values.empty() ? r : nullptr;
+  };
+  const insitu::Record* spectrum = last_measured("spectrum");
+  const insitu::Record* beam = last_measured("beam");
+  if (spectrum != nullptr && std::isnan(spectrum->value("peak_energy_J"))) {
     std::printf("beam: no particles in the spectrum window\n");
-  } else if (sim.last_spectrum() != nullptr && sim.last_beam_moments() != nullptr) {
-    const auto& beam = sim.last_spectrum()->beam;
-    const auto& mom = *sim.last_beam_moments();
+  } else if (spectrum != nullptr && beam != nullptr) {
     std::printf("beam: spectral peak %s (spread %.1f%%), %.3f pC/m, "
                 "norm. emittance %.3f mm mrad, <gamma> %.1f\n",
-                format_energy(beam.peak_energy).c_str(), 100 * beam.energy_spread,
-                std::abs(mom.charge_C) * 1e12, mom.emit_ny * 1e6, mom.mean_gamma);
+                format_energy(spectrum->value("peak_energy_J")).c_str(),
+                100 * spectrum->value("energy_spread"),
+                std::abs(beam->value("charge_C")) * 1e12,
+                beam->value("emit_ny_m_rad") * 1e6, beam->value("mean_gamma"));
   }
 
   history.write(out.path(pfx + "_history.csv"));

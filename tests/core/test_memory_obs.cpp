@@ -4,7 +4,8 @@
 //    process-global ledger conserves to the byte (charged - released ==
 //    current, checked with EXPECT_EQ, not a tolerance),
 //  - the ledger-measured MR memory-savings factor is > 1 and agrees with
-//    the analytic structural model within 10%,
+//    the analytic structural model within 10%; a removed patch frees its
+//    bytes,
 //  - with cluster obs on, the per-rank resident-bytes lanes sum exactly to
 //    the ledger total (the model distributes every byte) and export as
 //    memory_heatmap.csv, feeding predict_first_oom,
@@ -125,6 +126,32 @@ TEST(MemorySmoke, MeasuredMrSavingsAgreesWithAnalyticModel) {
       << "measured " << measured.factor << "x vs analytic " << analytic.factor
       << "x";
   EXPECT_GT(obs::memory_ledger().current_prefix("mr"), 0);
+}
+
+TEST(MemorySmoke, RemovedPatchFreesItsStorage) {
+  const int n = 32;
+  Simulation<2> sim(periodic_config(n));
+  add_thermal_electrons(sim);
+  add_quarter_patch(sim, n);
+  sim.enable_memory_obs();
+  sim.init();
+  sim.run(2);
+  ASSERT_GT(obs::memory_ledger().current_prefix("mr"), 0);
+  const auto n0 = sim.total_particles();
+
+  // remove() releases the fine, coarse, PML and aux fabs and their ledger
+  // charge; the savings count the patch only while it is active.
+  sim.patch()->remove();
+  EXPECT_EQ(obs::memory_ledger().current_prefix("mr"), 0);
+  EXPECT_DOUBLE_EQ(sim.measured_mr_savings().factor, 1.0);
+  EXPECT_DOUBLE_EQ(obs::analytic_mr_savings(sim.mr_savings_inputs()).factor, 1.0);
+
+  // The next step runs on level 0 alone.
+  sim.run(1);
+  EXPECT_EQ(sim.step_count(), 3);
+  EXPECT_EQ(sim.species_patch(0).total_particles(), 0);
+  EXPECT_EQ(sim.total_particles(), n0);
+  EXPECT_EQ(obs::memory_ledger().current_prefix("mr"), 0);
 }
 
 TEST(MemorySmoke, RankResidentLanesSumToLedgerTotal) {

@@ -1,5 +1,5 @@
-// Monitor-level alert plumbing: durable alerts JSONL (each alert on disk
-// the moment it is raised), flush-sink ordering, the checkpoint-request
+// Monitor-level alert plumbing: durable alerts (each alert on the event
+// timeline's disk file the moment it is raised), the checkpoint-request
 // latch, abort latching, and the end-to-end Simulation abort path (bound
 // rule -> AbortError out of run(), last alert already on disk).
 
@@ -7,13 +7,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/simulation.hpp"
 #include "src/health/monitor.hpp"
-#include "src/obs/json.hpp"
+#include "src/obs/event_log.hpp"
 
 namespace mrpic::health {
 namespace {
@@ -45,52 +44,31 @@ MonitorConfig gamma_bound_config(double hi, ActionSpec action = {}) {
 
 TEST(Monitor, AlertIsOnDiskBeforeAnyFlushOrShutdown) {
   const std::string path = "test_alerts_durable.jsonl";
-  std::remove(path.c_str());
-  auto cfg = gamma_bound_config(10.0);
-  cfg.alerts_path = path;
-  HealthMonitor mon(cfg);
+  obs::EventLogConfig ecfg;
+  ecfg.path = path;
+  obs::EventLog log(ecfg);
+  HealthMonitor mon(gamma_bound_config(10.0));
+  mon.set_event_log(&log);
 
   ASSERT_EQ(mon.record(hot_sample(1, 50.0)).size(), 1u);
   // No flush, no destructor: the append itself must already be durable.
-  auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u);
-  auto doc = obs::json::parse(lines[0]);
-  EXPECT_EQ(doc["step"].as_int(), 1);
-  EXPECT_EQ(doc["quantity"].as_string(), "max_gamma");
+  auto events = obs::EventLog::read_events_jsonl(path);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].category, "health");
+  EXPECT_EQ(events[0].kind, "alert");
+  EXPECT_EQ(events[0].step, 1);
+  EXPECT_EQ(events[0].severity, Severity::Critical);
+  EXPECT_EQ(events[0].detail.rfind("max_gamma", 0), 0u);  // the quantity leads
+  EXPECT_DOUBLE_EQ(events[0].value("value"), 50.0);
+  EXPECT_DOUBLE_EQ(events[0].value("bound"), 10.0);
 
   // Condition clears then re-fires: second alert appends a second line.
   mon.record(hot_sample(2, 1.0));
   mon.record(hot_sample(3, 99.0));
-  lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(obs::json::parse(lines[1])["step"].as_int(), 3);
+  events = obs::EventLog::read_events_jsonl(path);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].step, 3);
   std::remove(path.c_str());
-}
-
-TEST(Monitor, AlertsFileTruncatedPerRunNotPerAlert) {
-  const std::string path = "test_alerts_trunc.jsonl";
-  {
-    std::ofstream out(path);
-    out << "{\"stale\":\"from a previous run\"}\n";
-  }
-  auto cfg = gamma_bound_config(10.0);
-  cfg.alerts_path = path;
-  HealthMonitor mon(cfg);
-  mon.record(hot_sample(1, 50.0));
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(obs::json::parse(lines[0])["stale"].is_null());
-  std::remove(path.c_str());
-}
-
-TEST(Monitor, FlushSinksRunInRegistrationOrder) {
-  HealthMonitor mon;
-  std::vector<int> order;
-  mon.add_flush_sink([&] { order.push_back(1); });
-  mon.add_flush_sink([&] { order.push_back(2); });
-  mon.add_flush_sink([&] { order.push_back(3); });
-  mon.flush();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Monitor, CheckpointLatchIsConsumedOnce) {
@@ -181,18 +159,22 @@ TEST(Monitor, CadenceLargerThanRunNeverFires) {
 }
 
 TEST(Monitor, WriteJsonlDumpsHistoryAndAlerts) {
-  auto cfg = gamma_bound_config(10.0);
-  HealthMonitor mon(cfg);
+  const std::string lpath = "test_alerts_ledger.jsonl";
+  const std::string epath = "test_alerts_events.jsonl";
+  obs::EventLogConfig ecfg;
+  ecfg.path = epath;
+  obs::EventLog log(ecfg);
+  HealthMonitor mon(gamma_bound_config(10.0));
+  mon.set_event_log(&log);
   mon.record(hot_sample(1, 5.0));
   mon.record(hot_sample(2, 50.0));
-  const std::string lpath = "test_alerts_ledger.jsonl";
-  const std::string apath = "test_alerts_log.jsonl";
+  // The ledger history is dumped on demand; the alert is already on the
+  // timeline.
   ASSERT_TRUE(mon.write_ledger_jsonl(lpath));
-  ASSERT_TRUE(mon.write_alerts_jsonl(apath));
   EXPECT_EQ(read_lines(lpath).size(), 2u);
-  EXPECT_EQ(read_lines(apath).size(), 1u);
+  EXPECT_EQ(obs::EventLog::read_events_jsonl(epath).size(), 1u);
   std::remove(lpath.c_str());
-  std::remove(apath.c_str());
+  std::remove(epath.c_str());
 }
 
 // --- end-to-end: watchdog abort out of Simulation::run -----------------------
@@ -209,8 +191,10 @@ core::SimulationConfig<2> periodic_config(int n = 32) {
 }
 
 TEST(AbortPath, BoundRuleAbortsRunAndLastAlertIsOnDisk) {
-  const std::string path = "test_abort_alerts.jsonl";
-  std::remove(path.c_str());
+  const std::string path = "test_abort_events.jsonl";
+  obs::EventLogConfig ecfg;
+  ecfg.path = path;
+  obs::EventLog log(ecfg);
 
   core::Simulation<2> sim(periodic_config());
   plasma::InjectorConfig<2> inj;
@@ -221,15 +205,12 @@ TEST(AbortPath, BoundRuleAbortsRunAndLastAlertIsOnDisk) {
 
   MonitorConfig hcfg;
   hcfg.log_to_stderr = false;
-  hcfg.alerts_path = path;
   // num_particles is always > 0 here: the rule fires on the first sample.
   hcfg.watchdog.bounds.push_back(
       {"num_particles", 0.0, 1.0, Severity::Critical, {/*ckpt*/ false, /*abort*/ true}});
   sim.enable_health(hcfg);
+  sim.enable_event_log(&log);
   sim.init();
-
-  bool flushed = false;
-  sim.health()->add_flush_sink([&] { flushed = true; });
 
   try {
     sim.run(10);
@@ -239,14 +220,14 @@ TEST(AbortPath, BoundRuleAbortsRunAndLastAlertIsOnDisk) {
     EXPECT_TRUE(e.alert().abort);
   }
   EXPECT_EQ(sim.step_count(), 1); // died at the end of the first step
-  EXPECT_TRUE(flushed);           // telemetry sinks ran before the throw
 
   // The mid-run kill leaves the terminal alert durable on disk.
-  const auto lines = read_lines(path);
-  ASSERT_FALSE(lines.empty());
-  const auto doc = obs::json::parse(lines.back());
-  EXPECT_EQ(doc["quantity"].as_string(), "num_particles");
-  EXPECT_TRUE(doc["abort"].as_bool());
+  const auto events = obs::EventLog::read_events_jsonl(path);
+  ASSERT_FALSE(events.empty());
+  const auto& last = events.back();
+  EXPECT_EQ(last.kind, "alert");
+  EXPECT_EQ(last.detail.rfind("num_particles", 0), 0u);
+  EXPECT_EQ(last.value("abort"), 1.0);
   std::remove(path.c_str());
 }
 

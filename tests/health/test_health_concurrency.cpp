@@ -71,19 +71,5 @@ TEST(HealthConcurrency, ConcurrentRecordersAndSnapshotReaders) {
   EXPECT_EQ(metrics.counter_value("health_probes"), kWriters * kSamplesPerWriter);
 }
 
-TEST(HealthConcurrency, ConcurrentFlushIsSafe) {
-  HealthMonitor mon;
-  std::atomic<int> flushes{0};
-  mon.add_flush_sink([&] { flushes.fetch_add(1); });
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&mon] {
-      for (int i = 0; i < 50; ++i) { mon.flush(); }
-    });
-  }
-  for (auto& t : threads) { t.join(); }
-  EXPECT_EQ(flushes.load(), 200);
-}
-
 } // namespace
 } // namespace mrpic::health

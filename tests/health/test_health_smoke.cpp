@@ -1,8 +1,9 @@
 // health_smoke: the end-to-end self-diagnostics drill. A FaultInjector
 // plants silent NaN corruption in a field mid-run; the watchdog's NaN scan
 // must catch it, force an immediate checkpoint through the resil policy
-// (fault event "health_checkpoint") and abort with flushed telemetry. The
-// control run without injection must finish alert-free.
+// (fault event "health_checkpoint") and abort with the alert and the forced
+// checkpoint already on the durable event timeline. The control run
+// without injection must finish alert-free.
 //
 // EnergyLedger is the quantitative acceptance gate: on a uniform thermal
 // plasma over 200+ steps the ledger's relative energy drift stays bounded
@@ -12,12 +13,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "src/core/simulation.hpp"
 #include "src/health/monitor.hpp"
-#include "src/obs/json.hpp"
+#include "src/obs/event_log.hpp"
 #include "src/resil/fault_injector.hpp"
 
 namespace mrpic::health {
@@ -35,8 +37,13 @@ core::SimulationConfig<2> periodic_config(int n = 32) {
 }
 
 TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
-  const std::string alerts_path = "health_smoke_alerts.jsonl";
-  std::remove(alerts_path.c_str());
+  // The health_smoke ctest and the discovered test run this concurrently
+  // in one directory: a per-pid name keeps their timelines apart.
+  const std::string events_path =
+      "health_smoke_events_" + std::to_string(static_cast<long>(::getpid())) + ".jsonl";
+  obs::EventLogConfig ecfg;
+  ecfg.path = events_path;
+  obs::EventLog log(ecfg);
 
   // Field-only run: the corruption must be caught by the scan before any
   // particle ever gathers a NaN (a NaN position is undefined indexing).
@@ -45,9 +52,9 @@ TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
   MonitorConfig hcfg;
   hcfg.log_to_stderr = false;
   hcfg.nan_interval = 1;
-  hcfg.alerts_path = alerts_path;
   // Default nan_action: checkpoint-now + abort.
   sim.enable_health(hcfg);
+  sim.enable_event_log(&log);
 
   resil::CheckpointPolicyConfig pcfg;
   pcfg.mode = resil::CheckpointMode::Periodic;
@@ -71,8 +78,6 @@ TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
   });
 
   sim.init();
-  bool flushed = false;
-  sim.health()->add_flush_sink([&] { flushed = true; });
 
   bool aborted = false;
   try {
@@ -87,7 +92,6 @@ TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
   // Step indices are 0-based: corrupted at the end of step 2 (the third
   // step), caught by step 3's scan — the run died after four steps.
   EXPECT_EQ(sim.step_count(), 4);
-  EXPECT_TRUE(flushed);
   EXPECT_EQ(writes, 1); // checkpoint-now fired despite the huge interval
 
   // The forced write is distinguishable on the fault-event timeline.
@@ -97,18 +101,21 @@ TEST(HealthSmoke, InjectedFieldNanFiresAlertCheckpointAndAbort) {
   }
   EXPECT_TRUE(saw_health_ckpt);
 
-  // The terminal alert reached disk before the abort unwound.
-  std::ifstream in(alerts_path);
-  ASSERT_TRUE(in.good());
-  std::string line, last;
-  while (std::getline(in, line)) {
-    if (!line.empty()) { last = line; }
-  }
-  ASSERT_FALSE(last.empty());
-  const auto doc = obs::json::parse(last);
-  EXPECT_EQ(doc["quantity"].as_string().rfind("nan:", 0), 0u);
-  EXPECT_TRUE(doc["abort"].as_bool());
-  std::remove(alerts_path.c_str());
+  // The terminal alert reached disk before the abort unwound, followed by
+  // the checkpoint it forced.
+  const auto events = obs::EventLog::read_events_jsonl(events_path);
+  ASSERT_GE(events.size(), 2u);
+  const auto& alert = events[events.size() - 2];
+  EXPECT_EQ(alert.category, "health");
+  EXPECT_EQ(alert.kind, "alert");
+  EXPECT_EQ(alert.step, 3);
+  EXPECT_EQ(alert.severity, Severity::Critical);
+  EXPECT_NE(alert.detail.find("non-finite cell(s) in "), std::string::npos) << alert.detail;
+  EXPECT_EQ(alert.value("checkpoint"), 1.0);
+  EXPECT_EQ(alert.value("abort"), 1.0);
+  EXPECT_EQ(events.back().kind, "health_checkpoint");
+  EXPECT_EQ(events.back().step, 3);
+  std::remove(events_path.c_str());
 }
 
 TEST(HealthSmoke, UninjectedThermalPlasmaRunsAlertFree) {

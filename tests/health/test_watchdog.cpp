@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "src/health/watchdog.hpp"
-#include "src/obs/json.hpp"
 
 namespace mrpic::health {
 namespace {
@@ -169,27 +167,6 @@ TEST(Watchdog, ResetForgetsEwmaAndDedupState) {
   hot.step = 2;
   // After reset the still-true bound violation is a fresh alert.
   EXPECT_EQ(wd.evaluate(hot).size(), 1u);
-}
-
-TEST(Watchdog, AlertJsonRoundTrips) {
-  Alert a;
-  a.step = 5;
-  a.severity = Severity::Critical;
-  a.quantity = "nan:fine_B";
-  a.value = 12;
-  a.bound = 0;
-  a.checkpoint = true;
-  a.abort = true;
-  a.message = "12 non-finite cell(s) in fine_B";
-  std::ostringstream os;
-  write_alert(a, os);
-  const auto doc = obs::json::parse(os.str());
-  EXPECT_EQ(doc["step"].as_int(), 5);
-  EXPECT_EQ(doc["severity"].as_string(), "critical");
-  EXPECT_EQ(doc["quantity"].as_string(), "nan:fine_B");
-  EXPECT_TRUE(doc["checkpoint"].as_bool());
-  EXPECT_TRUE(doc["abort"].as_bool());
-  EXPECT_EQ(doc["message"].as_string(), "12 non-finite cell(s) in fine_B");
 }
 
 } // namespace

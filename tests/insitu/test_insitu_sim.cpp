@@ -2,11 +2,13 @@
 // Simulation with enable_insitu must collect reduced diagnostics inside the
 // "insitu" profiler region, publish insitu_* gauges, keep the JSONL series
 // schema-valid and the streaming manifest consistent with the frame files,
-// and a replayed (appending) incarnation must leave a canonicalizable
-// series — the crash -> rollback -> replay contract of resilient_lwfa.
+// and a replay after a checkpoint restore into the same Simulation must
+// leave a canonicalizable series — the crash -> rollback -> replay contract
+// of resilient_lwfa.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +18,7 @@
 
 #include "src/core/simulation.hpp"
 #include "src/insitu/registry.hpp"
+#include "src/io/checkpoint.hpp"
 #include "src/obs/perf_report.hpp"
 
 using namespace mrpic;
@@ -79,6 +82,7 @@ void run_plasma(core::Simulation<2>& sim, int steps) {
 
 void cleanup(const std::string& tag) {
   std::remove((tag + "_series.jsonl").c_str());
+  std::remove((tag + "_ckpt.bin").c_str());
   for (int i = 0; i < 8; ++i) {
     char path[256];
     std::snprintf(path, sizeof(path), "%s_stream.%03d.bin", tag.c_str(), i);
@@ -140,13 +144,18 @@ TEST(InsituSmoke, PipelineEndToEnd) {
   EXPECT_EQ(on_disk, man.total_frames);
 
   // Final force-collect (end-of-run records regardless of cadence) feeds
-  // the example's printed beam summary.
+  // the driver's printed beam summary.
   const auto before = reg.num_records();
   sim.insitu()->collect(sim.step_count(), sim.time(), /*force=*/true);
   EXPECT_EQ(reg.num_records(), before + reg.size());
-  ASSERT_NE(sim.last_spectrum(), nullptr);
-  ASSERT_NE(sim.last_beam_moments(), nullptr);
-  EXPECT_GT(sim.last_beam_moments()->count, 0);
+  const auto* spectrum = reg.last("spectrum");
+  ASSERT_NE(spectrum, nullptr);
+  EXPECT_EQ(spectrum->step, sim.step_count());
+  EXPECT_TRUE(std::isfinite(spectrum->value("peak_energy_J")));
+  const auto* final_beam = reg.last("beam");
+  ASSERT_NE(final_beam, nullptr);
+  EXPECT_EQ(final_beam->step, sim.step_count());
+  EXPECT_GT(final_beam->value("count"), 0);
 
   // The perf-report section summarizes the same registry + stream counters.
   const auto section = obs::summarize_insitu(reg, sim.profiler(), sw);
@@ -171,28 +180,41 @@ TEST(InsituSmoke, ReplayAppendKeepsSeriesCanonicalizable) {
   auto icfg = smoke_config(tag);
   icfg.stream_interval = 0; // series continuity is the subject here
 
-  std::int64_t first_records = 0;
-  {
-    core::Simulation<2> sim(plasma_config(16));
-    sim.enable_insitu(icfg);
-    run_plasma(sim, 12);
-    first_records = sim.insitu()->num_records();
-  }
-  {
-    // A replay incarnation (resil rebuilds the Simulation from a rollback):
-    // same series, append mode, steps re-run from the beginning.
-    icfg.series_append = true;
-    core::Simulation<2> sim(plasma_config(16));
-    sim.enable_insitu(icfg);
-    run_plasma(sim, 8);
-  }
+  // The resil rollback: restore a checkpoint into the same Simulation and
+  // replay the lost steps; its open series keeps appending.
+  const std::string ckpt = tag + "_ckpt.bin";
+  core::Simulation<2> sim(plasma_config(16));
+  sim.enable_insitu(icfg);
+  run_plasma(sim, 4);
+  ASSERT_TRUE(io::write_checkpoint<2>(ckpt, sim));
+  sim.run(8);
+  const auto first_pass = sim.insitu()->history();
+  ASSERT_TRUE(io::read_checkpoint<2>(ckpt, sim));
+  ASSERT_EQ(sim.step_count(), 4);
+  sim.run(8);
 
   const std::string path = tag + "_series.jsonl";
   EXPECT_TRUE(insitu::Registry::validate_series(path).empty());
   const auto raw = insitu::Registry::read_series_jsonl(path);
-  EXPECT_GT(static_cast<std::int64_t>(raw.size()), first_records);
+  EXPECT_EQ(static_cast<std::int64_t>(raw.size()), sim.insitu()->num_records());
+  EXPECT_GT(raw.size(), first_pass.size());
   const auto canon = insitu::Registry::canonicalize(raw);
-  EXPECT_LT(canon.size(), raw.size()); // the replayed overlap collapsed
+  EXPECT_EQ(canon.size(), first_pass.size()); // the replayed overlap collapsed
+  // The restore is bit-exact, so the replay reproduces the first pass.
+  for (std::size_t i = 0; i < first_pass.size(); ++i) {
+    const auto& r = first_pass[i];
+    const auto it = std::find_if(canon.begin(), canon.end(), [&](const insitu::Record& c) {
+      return c.diag == r.diag && c.step == r.step;
+    });
+    ASSERT_NE(it, canon.end()) << r.diag << " step " << r.step;
+    for (const auto& [key, v] : r.values) {
+      if (std::isnan(v)) {
+        EXPECT_TRUE(std::isnan(it->value(key))) << r.diag << "." << key;
+      } else {
+        EXPECT_EQ(it->value(key), v) << r.diag << "." << key << " step " << r.step;
+      }
+    }
+  }
   std::int64_t last_step = -1;
   for (const auto& r : canon) {
     if (r.diag != "beam") { continue; }

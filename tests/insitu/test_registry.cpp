@@ -1,6 +1,7 @@
 // insitu::Registry: cadences, gauge publication, the durable JSONL series
-// (append + flush, NaN -> null), and the reader-side canonicalization that
-// collapses a rollback's replayed overlap.
+// (append + flush, NaN -> null, a torn last line skipped by the reader), and
+// the reader-side canonicalization that collapses a rollback's replayed
+// overlap.
 
 #include <gtest/gtest.h>
 
@@ -70,7 +71,7 @@ TEST(InsituRegistry, SeriesRoundTripPreservesNaN) {
   const std::string path = "insitu_series_rt.jsonl";
   {
     Registry reg;
-    ASSERT_TRUE(reg.open_series(path, /*append=*/false));
+    ASSERT_TRUE(reg.open_series(path));
     reg.add("probe", 1, [](Record& r) {
       r.set("finite", 2.5);
       r.set("hole", std::numeric_limits<double>::quiet_NaN());
@@ -89,16 +90,43 @@ TEST(InsituRegistry, SeriesRoundTripPreservesNaN) {
   std::remove(path.c_str());
 }
 
-TEST(InsituRegistry, AppendModeContinuesExistingSeries) {
-  const std::string path = "insitu_series_append.jsonl";
-  auto run = [&](std::int64_t first, std::int64_t last, double v, bool append) {
+TEST(InsituRegistry, TornLastLineIsSkippedAndCounted) {
+  const std::string path = "insitu_series_torn.jsonl";
+  {
     Registry reg;
-    ASSERT_TRUE(reg.open_series(path, append));
-    reg.add("probe", 1, [&](Record& r) { r.set("v", v); });
-    for (std::int64_t s = first; s <= last; ++s) { reg.collect(s, 0.0); }
-  };
-  run(0, 5, 1.0, /*append=*/false);  // initial incarnation
-  run(3, 8, 2.0, /*append=*/true);   // replay after rollback to step 3
+    ASSERT_TRUE(reg.open_series(path));
+    reg.add("probe", 1, [](Record& r) { r.set("v", 1.0); });
+    reg.collect(0, 0.0);
+    reg.collect(1, 1e-15);
+  }
+  {
+    // A run killed mid-write leaves a torn last line.
+    std::ofstream os(path, std::ios::app);
+    os << R"({"diag":"probe","step":2,"time":2e-15,"val)";
+  }
+  std::size_t skipped = 0;
+  const auto records = Registry::read_series_jsonl(path, &skipped);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].step, 1);
+  EXPECT_DOUBLE_EQ(records[1].value("v"), 1.0);
+  EXPECT_EQ(skipped, 1u);
+  EXPECT_THROW(Registry::read_series_jsonl("no_such_dir_x/series.jsonl"),
+               std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(InsituRegistry, AppendModeContinuesExistingSeries) {
+  // A rollback restores a checkpoint into the same run, so the open series
+  // keeps appending through the replay: steps 0..5, then 3..8 again with
+  // the values of the replayed trajectory.
+  const std::string path = "insitu_series_append.jsonl";
+  double v = 1.0;
+  Registry reg;
+  ASSERT_TRUE(reg.open_series(path));
+  reg.add("probe", 1, [&](Record& r) { r.set("v", v); });
+  for (std::int64_t s = 0; s <= 5; ++s) { reg.collect(s, 0.0); }
+  v = 2.0;  // rolled back to step 3
+  for (std::int64_t s = 3; s <= 8; ++s) { reg.collect(s, 0.0); }
 
   const auto raw = Registry::read_series_jsonl(path);
   EXPECT_EQ(raw.size(), 12u);

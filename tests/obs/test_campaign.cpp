@@ -47,7 +47,7 @@ void make_run(const std::string& dir, const std::string& scenario,
 
   {
     insitu::Registry ireg;
-    ireg.open_series(pfx + "_insitu.jsonl", false);
+    ireg.open_series(pfx + "_insitu.jsonl");
     ireg.add("beam", 1,
              [](insitu::Record& r) { r.set("emit_ny_m_rad", 2.5e-7); });
     ireg.collect(std::int64_t(step_wall_s.size()), 1e-15, /*force=*/true);
@@ -148,6 +148,26 @@ TEST(Campaign, OutOfOrderTimelineIsFlagged) {
   EXPECT_TRUE(rs.manifest_ok);
   EXPECT_FALSE(rs.events_monotone);
   std::filesystem::remove_all("test_campaign_order");
+}
+
+TEST(Campaign, TornInsituSeriesKeepsBeamSummary) {
+  const std::string camp = "test_campaign_torn";
+  std::filesystem::remove_all(camp);
+  make_run(camp + "/run_killed", "lwfa", kRunStatusCompleted, {0.001, 0.002}, false);
+  {
+    // A spectrum record, then the torn line a killed run leaves behind.
+    std::ofstream os(camp + "/run_killed/lwfa_insitu.jsonl", std::ios::app);
+    os << R"({"diag":"spectrum","step":2,"time":1e-15,"values":{"peak_energy_J":3.2e-12}})"
+       << '\n';
+    os << R"({"diag":"beam","step":3,"time":2e-15,"val)";
+  }
+  const CampaignReport rep = scan_campaign(camp);
+  ASSERT_EQ(rep.runs.size(), 1u);
+  const RunSummary& rs = rep.runs[0];
+  EXPECT_DOUBLE_EQ(rs.peak_energy_J, 3.2e-12);
+  EXPECT_DOUBLE_EQ(rs.emit_ny_m_rad, 2.5e-7);
+  for (const auto& e : rs.errors) { EXPECT_EQ(e.rfind("insitu:", 0), std::string::npos) << e; }
+  std::filesystem::remove_all(camp);
 }
 
 TEST(Campaign, ScanAggregatesAndRenders) {

@@ -120,29 +120,6 @@ TEST(EventLog, DurableFileAndTolerantReader) {
   std::remove(path.c_str());
 }
 
-TEST(EventLog, AppendModeContinuesAcrossIncarnations) {
-  const std::string path = "test_event_log_append.jsonl";
-  std::remove(path.c_str());
-  {
-    EventLogConfig cfg;
-    cfg.path = path;
-    EventLog log(cfg);
-    log.publish("lifecycle", "run_start", EventSeverity::Info, -1);
-  }
-  {
-    EventLogConfig cfg;
-    cfg.path = path;
-    cfg.append = true;  // replay incarnation keeps the earlier timeline
-    EventLog log(cfg);
-    log.publish("resil", "replay", EventSeverity::Warn, 4);
-  }
-  const auto events = EventLog::read_events_jsonl(path);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, "run_start");
-  EXPECT_EQ(events[1].kind, "replay");
-  std::remove(path.c_str());
-}
-
 TEST(EventLog, SeverityNamesRoundTripAndTolerate) {
   EXPECT_EQ(event_severity_from_string(to_string(EventSeverity::Info)),
             EventSeverity::Info);
