@@ -92,6 +92,21 @@ public:
     }
   }
 
+  // Visit the i-rows of rg in storage order: f(j, k) for every row, whose
+  // cells run contiguously from rg.lo(0) to rg.hi(0) (k == 0 in 2D, the
+  // Array4 k index of 2D data).
+  template <typename F>
+  void for_each_row(const Box<DIM>& rg, F&& f) const {
+    if (rg.empty()) { return; }
+    if constexpr (DIM == 2) {
+      for (int j = rg.lo(1); j <= rg.hi(1); ++j) { f(j, 0); }
+    } else {
+      for (int k = rg.lo(2); k <= rg.hi(2); ++k) {
+        for (int j = rg.lo(1); j <= rg.hi(1); ++j) { f(j, k); }
+      }
+    }
+  }
+
 private:
   std::size_t cell_offset(const IV& p, int comp) const {
     return static_cast<std::size_t>(m_box.index(p)) +
@@ -114,12 +129,21 @@ private:
                 int scomp, int dcomp, int ncomp) {
     if (rg_src.empty()) { return; }
     const IV shift = rg_dst.lo() - rg_src.lo();
+    int sk = 0;
+    if constexpr (DIM == 3) { sk = shift[2]; }
+    const int nx = rg_src.length(0);
+    const auto s = src.const_array();
+    const auto d = array();
     for (int n = 0; n < ncomp; ++n) {
-      src.for_each_cell(rg_src, [&](const IV& p) {
-        if constexpr (Add) {
-          (*this)(p + shift, dcomp + n) += src(p, scomp + n);
-        } else {
-          (*this)(p + shift, dcomp + n) = src(p, scomp + n);
+      for_each_row(rg_src, [&](int j, int k) {
+        const T* sp = &s(rg_src.lo(0), j, k, scomp + n);
+        T* dp = &d(rg_dst.lo(0), j + shift[1], k + sk, dcomp + n);
+        for (int i = 0; i < nx; ++i) {
+          if constexpr (Add) {
+            dp[i] += sp[i];
+          } else {
+            dp[i] = sp[i];
+          }
         }
       });
     }

@@ -1,5 +1,6 @@
 #include "src/amr/multifab.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -152,14 +153,30 @@ void MultiFab<DIM>::shift_data(int d, int ncells, Real fill_value) {
   assert(ncells > 0);
   for (int i = 0; i < num_fabs(); ++i) {
     auto& f = m_fabs[i];
+    const auto a = f.array();
     const Box<DIM> gb = grown_box(i);
-    // value(p) <- value(p + n e_d); iterate in increasing d-index order so
-    // sources are read before being overwritten.
+    const int i0 = gb.lo(0), nx = gb.length(0);
+    // value(p) <- value(p + n e_d); rows are visited in increasing j, k and
+    // cells in increasing i, so sources are read before being overwritten.
     for (int n = 0; n < m_ncomp; ++n) {
-      f.for_each_cell(gb, [&](const IV& p) {
-        IV q = p;
-        q[d] += ncells;
-        f(p, n) = gb.contains(q) ? f(q, n) : fill_value;
+      f.for_each_row(gb, [&](int j, int k) {
+        Real* row = &a(i0, j, k, n);
+        if (d == 0) {
+          for (int ii = 0; ii < nx; ++ii) {
+            row[ii] = ii + ncells < nx ? row[ii + ncells] : fill_value;
+          }
+          return;
+        }
+        // Source row: (j + n, k) for d == 1, (j, k + n) for d == 2.
+        const int js = d == 1 ? j + ncells : j;
+        const int ks = d == 2 ? k + ncells : k;
+        bool inside = js <= gb.hi(1);
+        if constexpr (DIM == 3) { inside = inside && ks <= gb.hi(2); }
+        if (inside) {
+          std::copy_n(&a(i0, js, ks, n), nx, row);
+        } else {
+          std::fill_n(row, nx, fill_value);
+        }
       });
     }
   }

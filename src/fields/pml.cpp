@@ -1,5 +1,6 @@
 #include "src/fields/pml.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -20,18 +21,14 @@ constexpr std::array<int, 3> e_second = {EXZ, EYZ, EZY};
 constexpr std::array<int, 3> b_first = {BXY, BYX, BZX};
 constexpr std::array<int, 3> b_second = {BXZ, BYZ, BZY};
 
-// Exponential-time-stepping damping coefficients for dF/dt = -sigma F + T:
-//   F <- d1 F + d2 T,  d1 = exp(-sigma dt), d2 = (1 - d1)/sigma (dt if s==0).
-struct Damp {
-  Real d1, d2;
-};
-inline Damp damping(Real sigma, Real dt) {
+} // namespace
+
+template <int DIM>
+typename Pml<DIM>::Damp Pml<DIM>::damping(Real sigma, Real dt) {
   if (sigma <= 0) { return {Real(1), dt}; }
   const Real d1 = std::exp(-sigma * dt);
   return {d1, (Real(1) - d1) / sigma};
 }
-
-} // namespace
 
 template <int DIM>
 Pml<DIM>::Pml(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>& inner,
@@ -100,21 +97,39 @@ Real Pml<DIM>::sigma(int d, Real pos) const {
 }
 
 template <int DIM>
+const typename Pml<DIM>::DampTable& Pml<DIM>::damping_table(DampTable& t, Real dt,
+                                                            Real offset) const {
+  if (t.dt == dt) { return t; }
+  t.dt = dt;
+  const auto span = m_fab.box_array().minimal_box().grown(m_fab.num_ghost());
+  for (int d = 0; d < DIM; ++d) {
+    t.lo[d] = span.lo(d);
+    t.w[d].resize(static_cast<std::size_t>(span.length(d)));
+    for (int i = span.lo(d); i <= span.hi(d); ++i) {
+      t.w[d][static_cast<std::size_t>(i - span.lo(d))] = damping(sigma(d, i + offset), dt);
+    }
+  }
+  return t;
+}
+
+template <int DIM>
 void Pml<DIM>::exchange_from_interior(const FieldSet<DIM>& f) {
   if (empty()) { return; }
   const auto& iba = f.box_array();
   for (int i = 0; i < m_fab.num_fabs(); ++i) {
     const auto gi = m_fab.grown_box(i);
     auto& dst = m_fab.fab(i);
+    const auto a = dst.array();
     for (int j = 0; j < iba.size(); ++j) {
       const auto region = gi & iba[j];
       if (region.empty()) { continue; }
+      const int nx = region.length(0);
       for (int comp = 0; comp < 3; ++comp) {
         dst.copy_from(f.E().fab(j), region, comp, e_first[comp], 1);
         dst.copy_from(f.B().fab(j), region, comp, b_first[comp], 1);
-        dst.for_each_cell(region, [&](const IV& p) {
-          dst(p, e_second[comp]) = 0;
-          dst(p, b_second[comp]) = 0;
+        dst.for_each_row(region, [&](int jj, int k) {
+          std::fill_n(&a(region.lo(0), jj, k, e_second[comp]), nx, Real(0));
+          std::fill_n(&a(region.lo(0), jj, k, b_second[comp]), nx, Real(0));
         });
       }
     }
@@ -143,11 +158,20 @@ void Pml<DIM>::copy_to_interior(FieldSet<DIM>& f) const {
     for (int i = 0; i < pba.size(); ++i) {
       const auto region = gj & pba[i];
       if (region.empty()) { continue; }
-      const auto& src = m_fab.fab(i);
-      src.for_each_cell(region, [&](const IV& p) {
+      const auto s = m_fab.const_array(i);
+      const auto e = edst.array();
+      const auto b = bdst.array();
+      const int i0 = region.lo(0), nx = region.length(0);
+      edst.for_each_row(region, [&](int jj, int k) {
         for (int comp = 0; comp < 3; ++comp) {
-          edst(p, comp) = src(p, e_first[comp]) + src(p, e_second[comp]);
-          bdst(p, comp) = src(p, b_first[comp]) + src(p, b_second[comp]);
+          const Real* e1 = &s(i0, jj, k, e_first[comp]);
+          const Real* e2 = &s(i0, jj, k, e_second[comp]);
+          const Real* b1 = &s(i0, jj, k, b_first[comp]);
+          const Real* b2 = &s(i0, jj, k, b_second[comp]);
+          Real* er = &e(i0, jj, k, comp);
+          Real* br = &b(i0, jj, k, comp);
+          for (int ii = 0; ii < nx; ++ii) { er[ii] = e1[ii] + e2[ii]; }
+          for (int ii = 0; ii < nx; ++ii) { br[ii] = b1[ii] + b2[ii]; }
         }
       });
     }
@@ -160,6 +184,8 @@ void Pml<DIM>::evolve_b(Real dt) {
   const Real idx = Real(1) / m_geom.cell_size(0);
   const Real idy = Real(1) / m_geom.cell_size(1);
   [[maybe_unused]] const Real idz = DIM == 3 ? Real(1) / m_geom.cell_size(2) : Real(0);
+  // B components sit at half-integer positions along their split directions.
+  const DampTable& w = damping_table(m_damp_b, dt, Real(0.5));
 
   for (int m = 0; m < m_fab.num_fabs(); ++m) {
     auto a = m_fab.array(m);
@@ -170,32 +196,30 @@ void Pml<DIM>::evolve_b(Real dt) {
     auto Ez = [a](int i, int j, int k) { return a(i, j, k, EZX) + a(i, j, k, EZY); };
 
     auto update = [&](int i, int j, int k) {
+      const Damp& wx = w.at(0, i);
+      const Damp& wy = w.at(1, j);
       // Bx splits (Bx staggering: (0,1,1)):
       {
-        const Damp wy = damping(sigma(1, j + Real(0.5)), dt);
         a(i, j, k, BXY) = wy.d1 * a(i, j, k, BXY) +
                           wy.d2 * (-(Ez(i, j + 1, k) - Ez(i, j, k)) * idy);
         if constexpr (DIM == 3) {
-          const Damp wz = damping(sigma(2, k + Real(0.5)), dt);
+          const Damp& wz = w.at(2, k);
           a(i, j, k, BXZ) = wz.d1 * a(i, j, k, BXZ) +
                             wz.d2 * ((Ey(i, j, k + 1) - Ey(i, j, k)) * idz);
         }
       }
       // By splits (stag (1,0,1)):
       {
-        const Damp wx = damping(sigma(0, i + Real(0.5)), dt);
         a(i, j, k, BYX) = wx.d1 * a(i, j, k, BYX) +
                           wx.d2 * ((Ez(i + 1, j, k) - Ez(i, j, k)) * idx);
         if constexpr (DIM == 3) {
-          const Damp wz = damping(sigma(2, k + Real(0.5)), dt);
+          const Damp& wz = w.at(2, k);
           a(i, j, k, BYZ) = wz.d1 * a(i, j, k, BYZ) +
                             wz.d2 * (-(Ex(i, j, k + 1) - Ex(i, j, k)) * idz);
         }
       }
       // Bz splits (stag (1,1,0)):
       {
-        const Damp wx = damping(sigma(0, i + Real(0.5)), dt);
-        const Damp wy = damping(sigma(1, j + Real(0.5)), dt);
         a(i, j, k, BZX) = wx.d1 * a(i, j, k, BZX) +
                           wx.d2 * (-(Ey(i + 1, j, k) - Ey(i, j, k)) * idx);
         a(i, j, k, BZY) = wy.d1 * a(i, j, k, BZY) +
@@ -218,6 +242,8 @@ void Pml<DIM>::evolve_e(Real dt) {
   const Real idx = Real(1) / m_geom.cell_size(0);
   const Real idy = Real(1) / m_geom.cell_size(1);
   [[maybe_unused]] const Real idz = DIM == 3 ? Real(1) / m_geom.cell_size(2) : Real(0);
+  // E components sit at integer positions along their split directions.
+  const DampTable& w = damping_table(m_damp_e, dt, Real(0));
 
   for (int m = 0; m < m_fab.num_fabs(); ++m) {
     auto a = m_fab.array(m);
@@ -227,32 +253,30 @@ void Pml<DIM>::evolve_e(Real dt) {
     auto Bz = [a](int i, int j, int k) { return a(i, j, k, BZX) + a(i, j, k, BZY); };
 
     auto update = [&](int i, int j, int k) {
+      const Damp& wx = w.at(0, i);
+      const Damp& wy = w.at(1, j);
       // Ex splits (stag (1,0,0)):
       {
-        const Damp wy = damping(sigma(1, Real(j)), dt);
         a(i, j, k, EXY) = wy.d1 * a(i, j, k, EXY) +
                           wy.d2 * (c2 * (Bz(i, j, k) - Bz(i, j - 1, k)) * idy);
         if constexpr (DIM == 3) {
-          const Damp wz = damping(sigma(2, Real(k)), dt);
+          const Damp& wz = w.at(2, k);
           a(i, j, k, EXZ) = wz.d1 * a(i, j, k, EXZ) +
                             wz.d2 * (-c2 * (By(i, j, k) - By(i, j, k - 1)) * idz);
         }
       }
       // Ey splits (stag (0,1,0)):
       {
-        const Damp wx = damping(sigma(0, Real(i)), dt);
         a(i, j, k, EYX) = wx.d1 * a(i, j, k, EYX) +
                           wx.d2 * (-c2 * (Bz(i, j, k) - Bz(i - 1, j, k)) * idx);
         if constexpr (DIM == 3) {
-          const Damp wz = damping(sigma(2, Real(k)), dt);
+          const Damp& wz = w.at(2, k);
           a(i, j, k, EYZ) = wz.d1 * a(i, j, k, EYZ) +
                             wz.d2 * (c2 * (Bx(i, j, k) - Bx(i, j, k - 1)) * idz);
         }
       }
       // Ez splits (stag (0,0,1)):
       {
-        const Damp wx = damping(sigma(0, Real(i)), dt);
-        const Damp wy = damping(sigma(1, Real(j)), dt);
         a(i, j, k, EZX) = wx.d1 * a(i, j, k, EZX) +
                           wx.d2 * (c2 * (By(i, j, k) - By(i - 1, j, k)) * idx);
         a(i, j, k, EZY) = wy.d1 * a(i, j, k, EZY) +

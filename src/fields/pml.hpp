@@ -18,6 +18,8 @@
 //                             interior valid region
 
 #include <array>
+#include <limits>
+#include <vector>
 
 #include "src/amr/multifab.hpp"
 #include "src/fields/field_set.hpp"
@@ -46,7 +48,7 @@ public:
 
   // Build a PML ring around `inner` (a cell box in the index space of
   // `geom`). absorb[d] selects which directions get a layer (periodic
-  // directions must pass false). `max_box` chops ring boxes for granularity.
+  // directions must pass false).
   Pml(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>& inner,
       const std::array<bool, DIM>& absorb, PmlConfig cfg = {},
       int ngrow = mrpic::default_num_ghost);
@@ -66,7 +68,9 @@ public:
   // Exchange ghost data among the ring boxes themselves.
   void fill_boundary();
 
-  // Damped split-field updates on the ring's valid cells.
+  // Damped split-field updates on the ring's valid cells. The damping
+  // coefficients are tabulated per direction and rebuilt only when `dt`
+  // differs from the one they were last built for.
   void evolve_b(Real dt);
   void evolve_e(Real dt);
 
@@ -85,8 +89,24 @@ public:
   Real max_abs() const;
 
 private:
-  template <typename F>
-  void for_each_fab(F&& f);
+  // Exponential-time-stepping pair for dF/dt = -sigma F + T:
+  //   F <- d1 F + d2 T,  d1 = exp(-sigma dt), d2 = (1 - d1)/sigma (dt if s==0).
+  struct Damp {
+    Real d1, d2;
+  };
+  static Damp damping(Real sigma, Real dt);
+  // Damp per direction and index over the ring's index range (ghosts
+  // included), at positions index + offset, for one dt. Derived state, never
+  // checkpointed: the moving window scrolls the ring's data, never its
+  // indices, so only dt can invalidate a table.
+  struct DampTable {
+    Real dt = std::numeric_limits<Real>::quiet_NaN(); // NaN: never built
+    std::array<int, DIM> lo{};
+    std::array<std::vector<Damp>, DIM> w;
+    const Damp& at(int d, int index) const { return w[d][index - lo[d]]; }
+  };
+  // Rebuild t from sigma() when it was built for another dt; return it.
+  const DampTable& damping_table(DampTable& t, Real dt, Real offset) const;
 
   mrpic::Geometry<DIM> m_geom;      // geometry of the interior level
   mrpic::Box<DIM> m_inner;          // interior region the ring surrounds
@@ -94,6 +114,8 @@ private:
   PmlConfig m_cfg;
   std::array<Real, DIM> m_sigma_max{};
   mrpic::MultiFab<DIM> m_fab;       // NUM_PML_COMP split components
+  DampTable m_damp_b;               // half-integer positions (B splits)
+  DampTable m_damp_e;               // integer positions (E splits)
 };
 
 extern template class Pml<2>;

@@ -1,6 +1,8 @@
 #include "src/mr/interpolation.hpp"
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 namespace mrpic::mr {
 
@@ -38,44 +40,61 @@ inline Sample1D interp_sample(int i, int stag, int ratio) {
   return {I0, {1 - w, w, Real(0)}};
 }
 
+// dst(p) (+)= sum_{a,b,c} wa wb wc src(i0a + a, i0b + b, i0c + c) over region,
+// skipping zero weights. Each axis' samples depend on one index only, so
+// they are tabulated once per call and the cells are walked row by row.
 template <int DIM, typename SampleFn>
 void apply(const mrpic::FArrayBox<DIM>& src, mrpic::FArrayBox<DIM>& dst,
            const mrpic::Box<DIM>& region, int comp_src, int comp_dst,
            const mrpic::IntVect<DIM>& stag, int ratio, bool add, SampleFn&& sample_fn) {
-  using IV = mrpic::IntVect<DIM>;
-  dst.for_each_cell(region, [&](const IV& p) {
-    Sample1D s[DIM];
-    for (int d = 0; d < DIM; ++d) { s[d] = sample_fn(p[d], stag[d], ratio); }
-    Real acc = 0;
-    if constexpr (DIM == 2) {
-      for (int b = 0; b < 3; ++b) {
-        const Real wb = s[1].w[b];
-        if (wb == 0) { continue; }
-        for (int a = 0; a < 3; ++a) {
-          const Real wa = s[0].w[a];
-          if (wa == 0) { continue; }
-          acc += wa * wb * src(IV(s[0].i0 + a, s[1].i0 + b), comp_src);
-        }
-      }
-    } else {
-      for (int cc = 0; cc < 3; ++cc) {
-        const Real wc = s[2].w[cc];
-        if (wc == 0) { continue; }
+  if (region.empty()) { return; }
+  std::array<std::vector<Sample1D>, DIM> s;
+  for (int d = 0; d < DIM; ++d) {
+    s[d].reserve(static_cast<std::size_t>(region.length(d)));
+    for (int i = region.lo(d); i <= region.hi(d); ++i) {
+      s[d].push_back(sample_fn(i, stag[d], ratio));
+    }
+  }
+  const auto in = src.const_array();
+  const auto out = dst.array();
+  const int nx = region.length(0);
+  dst.for_each_row(region, [&](int j, int k) {
+    const Sample1D& sb = s[1][static_cast<std::size_t>(j - region.lo(1))];
+    Real* row = &out(region.lo(0), j, k, comp_dst);
+    for (int i = 0; i < nx; ++i) {
+      const Sample1D& sa = s[0][static_cast<std::size_t>(i)];
+      Real acc = 0;
+      if constexpr (DIM == 2) {
         for (int b = 0; b < 3; ++b) {
-          const Real wb = s[1].w[b];
+          const Real wb = sb.w[b];
           if (wb == 0) { continue; }
           for (int a = 0; a < 3; ++a) {
-            const Real wa = s[0].w[a];
+            const Real wa = sa.w[a];
             if (wa == 0) { continue; }
-            acc += wa * wb * wc * src(IV(s[0].i0 + a, s[1].i0 + b, s[2].i0 + cc), comp_src);
+            acc += wa * wb * in(sa.i0 + a, sb.i0 + b, 0, comp_src);
+          }
+        }
+      } else {
+        const Sample1D& sc = s[2][static_cast<std::size_t>(k - region.lo(2))];
+        for (int cc = 0; cc < 3; ++cc) {
+          const Real wc = sc.w[cc];
+          if (wc == 0) { continue; }
+          for (int b = 0; b < 3; ++b) {
+            const Real wb = sb.w[b];
+            if (wb == 0) { continue; }
+            for (int a = 0; a < 3; ++a) {
+              const Real wa = sa.w[a];
+              if (wa == 0) { continue; }
+              acc += wa * wb * wc * in(sa.i0 + a, sb.i0 + b, sc.i0 + cc, comp_src);
+            }
           }
         }
       }
-    }
-    if (add) {
-      dst(p, comp_dst) += acc;
-    } else {
-      dst(p, comp_dst) = acc;
+      if (add) {
+        row[i] += acc;
+      } else {
+        row[i] = acc;
+      }
     }
   });
 }

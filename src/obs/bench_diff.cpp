@@ -84,7 +84,12 @@ Report compare(const json::Value& baseline, const json::Value& current,
         r.status = Status::Pass;
       } else {
         r.status = Status::Fail;
-        r.note = "'" + scalar_to_string(base_v) + "' vs '" + scalar_to_string(cur_v) + "'";
+        // Built with append: GCC 12 misreads a chained operator+ (or an
+        // assignment from a literal) as an overlapping memcpy (-Wrestrict).
+        std::string note(1, '\'');
+        note.append(scalar_to_string(base_v)).append("' vs '");
+        note.append(scalar_to_string(cur_v)).append(1, '\'');
+        r.note = std::move(note);
       }
     }
     count(report, r);

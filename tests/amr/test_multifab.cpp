@@ -63,6 +63,34 @@ TEST(MultiFab, FillBoundaryPeriodicWrap) {
       EXPECT_DOUBLE_EQ(f(p, 0), pi + 100.0 * pj) << "ghost " << p;
     });
   }
+
+  // 3D, two components, ghosts wider than one cell: the row-wise copy walks
+  // j and k rows, so wraps along y and z are checked cell by cell.
+  const Geometry<3> g3(Box3(IntVect3(0, 0, 0), IntVect3(11, 9, 7)), RealVect3(0, 0, 0),
+                       RealVect3(1, 1, 1), {true, true, true});
+  const auto ba3 = BoxArray<3>::decompose(g3.domain(), 6);
+  MultiFab<3> mf3(ba3, 2, 2);
+  const auto value3 = [](const IntVect3& p, int n) {
+    return 1000000.0 * n + p[0] + 100.0 * p[1] + 10000.0 * p[2];
+  };
+  for (int m = 0; m < mf3.num_fabs(); ++m) {
+    auto& f = mf3.fab(m);
+    f.for_each_cell(mf3.valid_box(m), [&](const IntVect3& p) {
+      for (int n = 0; n < 2; ++n) { f(p, n) = value3(p, n); }
+    });
+  }
+  mf3.fill_boundary(g3);
+  const IntVect3 L3(12, 10, 8);
+  for (int m = 0; m < mf3.num_fabs(); ++m) {
+    const auto& f = mf3.fab(m);
+    f.for_each_cell(mf3.grown_box(m), [&](const IntVect3& p) {
+      IntVect3 q;
+      for (int d = 0; d < 3; ++d) { q[d] = ((p[d] % L3[d]) + L3[d]) % L3[d]; }
+      for (int n = 0; n < 2; ++n) {
+        EXPECT_EQ(f(p, n), value3(q, n)) << "fab " << m << " cell " << p << " comp " << n;
+      }
+    });
+  }
 }
 
 TEST(MultiFab, SingleBoxPeriodicSelfWrap) {
@@ -169,6 +197,32 @@ TEST(MultiFab, ShiftDataScrolls) {
   EXPECT_DOUBLE_EQ(f(IntVect2(29, 5), 0), 31 + 100.0 * 5);
   // freshly exposed cells at the high end get the fill value.
   EXPECT_DOUBLE_EQ(f(IntVect2(33, 5), 0), -1.0);
+
+  // 3D, two components, every direction: value(p) == old value(p + n e_d)
+  // wherever that lies in the allocation, the fill value elsewhere.
+  const Box3 dom3(IntVect3(-2, 1, 3), IntVect3(6, 7, 8));
+  const auto value3 = [](const IntVect3& p, int n) {
+    return 1000000.0 * n + p[0] + 100.0 * p[1] + 10000.0 * p[2];
+  };
+  for (int d = 0; d < 3; ++d) {
+    for (const int ncells : {1, 3}) {
+      MultiFab<3> mf3(BoxArray<3>(dom3), 2, 2);
+      auto& f3 = mf3.fab(0);
+      const Box3 gb = mf3.grown_box(0);
+      f3.for_each_cell(gb, [&](const IntVect3& p) {
+        for (int n = 0; n < 2; ++n) { f3(p, n) = value3(p, n); }
+      });
+      mf3.shift_data(d, ncells, -1.0);
+      f3.for_each_cell(gb, [&](const IntVect3& p) {
+        IntVect3 q = p;
+        q[d] += ncells;
+        for (int n = 0; n < 2; ++n) {
+          EXPECT_EQ(f3(p, n), gb.contains(q) ? value3(q, n) : -1.0)
+              << "dir " << d << " shift " << ncells << " cell " << p << " comp " << n;
+        }
+      });
+    }
+  }
 }
 
 TEST(MultiFab, LinComb) {

@@ -180,6 +180,45 @@ TEST(Simulation, ProfilerRecordsStages) {
   EXPECT_EQ(flat.at("particles").count, 3);
   EXPECT_EQ(flat.at("field_solve").count, 3);
   EXPECT_GT(flat.at("step").inclusive_s, 0.0);
+  // field_solve sub-regions on the FDTD path: three leapfrog sub-steps,
+  // each preceded by an exchange, plus the closing exchange. A periodic
+  // domain has no PML ring and no patch.
+  EXPECT_EQ(flat.at("fdtd").count, 9);
+  EXPECT_EQ(flat.at("exchange").count, 12);
+  EXPECT_EQ(flat.count("pml"), 0u);
+  EXPECT_EQ(flat.count("patch"), 0u);
+  EXPECT_EQ(flat.count("psatd"), 0u);
+  EXPECT_EQ(sim.profiler().stats("step/field_solve/fdtd").count, 9);
+
+  // An open domain adds the level-0 ring and an MR patch adds the patch,
+  // each once per sub-step.
+  auto open_cfg = periodic_config();
+  open_cfg.periodic = {false, false};
+  open_cfg.use_pml = true;
+  open_cfg.pml.npml = 4;
+  Simulation<2> open_sim(open_cfg);
+  mr::MRPatch<2>::Config pcfg;
+  pcfg.region = mrpic::Box2(mrpic::IntVect2(8, 8), mrpic::IntVect2(15, 15));
+  pcfg.pml.npml = 4;
+  open_sim.enable_mr_patch(pcfg);
+  open_sim.init();
+  open_sim.run(2);
+  EXPECT_EQ(open_sim.profiler().stats("step/field_solve/pml").count, 6);
+  EXPECT_EQ(open_sim.profiler().stats("step/field_solve/patch").count, 6);
+  EXPECT_EQ(open_sim.profiler().stats("step/field_solve/fdtd").count, 6);
+  EXPECT_EQ(open_sim.profiler().stats("step/field_solve/exchange").count, 8);
+
+  // The spectral path: one solve and one exchange per step.
+  auto psatd_cfg = periodic_config();
+  psatd_cfg.max_grid_size = mrpic::IntVect2(32);
+  psatd_cfg.maxwell = MaxwellSolver::PSATD;
+  Simulation<2> psatd_sim(psatd_cfg);
+  psatd_sim.init();
+  psatd_sim.run(2);
+  const auto pflat = psatd_sim.profiler().flat_totals();
+  EXPECT_EQ(pflat.at("psatd").count, 2);
+  EXPECT_EQ(pflat.at("exchange").count, 2);
+  EXPECT_EQ(pflat.count("fdtd"), 0u);
 }
 
 // Spectral (PSATD) set-ups the solver cannot run are refused at init in every

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "src/fields/yee.hpp"
 #include "src/mr/interpolation.hpp"
 
@@ -104,6 +107,135 @@ TEST(Interpolation, Restrict3DStaggered) {
         (p[0] + 0.5 * stag[0]) + 2.0 * (p[1] + 0.5 * stag[1]) - (p[2] + 0.5 * stag[2]);
     EXPECT_NEAR(coarse(p, 0), expect, 1e-12);
   });
+}
+
+// The per-cell sampler the tabulated samples replaced: every cell derives
+// its own per-axis samples. Kept here as the reference interp_to_fine and
+// restrict_to_coarse must match bit for bit.
+struct RefSample {
+  int i0;
+  Real w[3];
+};
+
+RefSample ref_restrict_sample(int I, int stag, int ratio) {
+  if (ratio == 2 && stag == 0) {
+    return {2 * I - 1, {Real(0.25), Real(0.5), Real(0.25)}};
+  }
+  const int t2 = 2 * ratio * I + stag * (ratio - 1);
+  if (t2 % 2 == 0) { return {t2 / 2, {Real(1), Real(0), Real(0)}}; }
+  return {(t2 - 1) / 2, {Real(0.5), Real(0.5), Real(0)}};
+}
+
+RefSample ref_interp_sample(int i, int stag, int ratio) {
+  const Real xi = (2 * i + stag - ratio * stag) / Real(2 * ratio);
+  const Real fl = std::floor(xi);
+  const int I0 = static_cast<int>(fl);
+  const Real w = xi - fl;
+  return {I0, {1 - w, w, Real(0)}};
+}
+
+template <int DIM, typename SampleFn>
+void ref_apply(const FArrayBox<DIM>& src, FArrayBox<DIM>& dst, const mrpic::Box<DIM>& region,
+               int comp_src, int comp_dst, const mrpic::IntVect<DIM>& stag, int ratio,
+               bool add, SampleFn&& sample_fn) {
+  using IV = mrpic::IntVect<DIM>;
+  dst.for_each_cell(region, [&](const IV& p) {
+    RefSample s[DIM];
+    for (int d = 0; d < DIM; ++d) { s[d] = sample_fn(p[d], stag[d], ratio); }
+    Real acc = 0;
+    if constexpr (DIM == 2) {
+      for (int b = 0; b < 3; ++b) {
+        const Real wb = s[1].w[b];
+        if (wb == 0) { continue; }
+        for (int a = 0; a < 3; ++a) {
+          const Real wa = s[0].w[a];
+          if (wa == 0) { continue; }
+          acc += wa * wb * src(IV(s[0].i0 + a, s[1].i0 + b), comp_src);
+        }
+      }
+    } else {
+      for (int cc = 0; cc < 3; ++cc) {
+        const Real wc = s[2].w[cc];
+        if (wc == 0) { continue; }
+        for (int b = 0; b < 3; ++b) {
+          const Real wb = s[1].w[b];
+          if (wb == 0) { continue; }
+          for (int a = 0; a < 3; ++a) {
+            const Real wa = s[0].w[a];
+            if (wa == 0) { continue; }
+            acc += wa * wb * wc * src(IV(s[0].i0 + a, s[1].i0 + b, s[2].i0 + cc), comp_src);
+          }
+        }
+      }
+    }
+    if (add) {
+      dst(p, comp_dst) += acc;
+    } else {
+      dst(p, comp_dst) = acc;
+    }
+  });
+}
+
+template <int DIM>
+void fill_random(FArrayBox<DIM>& fab, std::mt19937_64& rng) {
+  std::uniform_real_distribution<Real> u(-1, 1);
+  for (std::size_t n = 0; n < fab.size(); ++n) { fab.data()[n] = u(rng); }
+}
+
+template <int DIM>
+bool same_bits(const FArrayBox<DIM>& a, const FArrayBox<DIM>& b) {
+  if (a.size() != b.size()) { return false; }
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    if (!(a.data()[n] == b.data()[n])) { return false; }
+  }
+  return true;
+}
+
+// Every staggering, ratios 2 and 3, assign and add: interp_to_fine and
+// restrict_to_coarse against the per-cell reference on random two-component
+// data, over regions off the index origin.
+template <int DIM>
+void expect_tabulated_matches_reference(const mrpic::Box<DIM>& coarse_region) {
+  using IV = mrpic::IntVect<DIM>;
+  std::mt19937_64 rng(2022 + DIM);
+  for (const int ratio : {2, 3}) {
+    const auto fine_region = coarse_region.refined(ratio);
+    for (int code = 0; code < (1 << DIM); ++code) {
+      IV stag;
+      for (int d = 0; d < DIM; ++d) { stag[d] = (code >> d) & 1; }
+      for (const bool add : {false, true}) {
+        // Coarse -> fine over the fine region grown like the aux fields.
+        FArrayBox<DIM> coarse(coarse_region.grown(3), 2);
+        FArrayBox<DIM> fine(fine_region.grown(3), 2);
+        fill_random(coarse, rng);
+        fill_random(fine, rng);
+        FArrayBox<DIM> fine_ref = fine;
+        interp_to_fine<DIM>(coarse, fine, fine_region.grown(2), 1, 0, stag, ratio, add);
+        ref_apply<DIM>(coarse, fine_ref, fine_region.grown(2), 1, 0, stag, ratio, add,
+                       ref_interp_sample);
+        EXPECT_TRUE(same_bits(fine, fine_ref))
+            << "interp_to_fine ratio " << ratio << " stag " << stag << " add " << add;
+
+        // Fine -> coarse over the coarse region grown by one cell.
+        FArrayBox<DIM> fsrc(fine_region.grown(ratio + 2), 2);
+        FArrayBox<DIM> cdst(coarse_region.grown(2), 2);
+        fill_random(fsrc, rng);
+        fill_random(cdst, rng);
+        FArrayBox<DIM> cdst_ref = cdst;
+        restrict_to_coarse<DIM>(fsrc, cdst, coarse_region.grown(1), 0, 1, stag, ratio, add);
+        ref_apply<DIM>(fsrc, cdst_ref, coarse_region.grown(1), 0, 1, stag, ratio, add,
+                       ref_restrict_sample);
+        EXPECT_TRUE(same_bits(cdst, cdst_ref))
+            << "restrict_to_coarse ratio " << ratio << " stag " << stag << " add " << add;
+      }
+    }
+  }
+}
+
+TEST(Interpolation, TabulatedSamplesMatchPerCellSampler) {
+  expect_tabulated_matches_reference<2>(Box2(IntVect2(-3, 2), IntVect2(9, 11)));
+  expect_tabulated_matches_reference<3>(
+      mrpic::Box3(mrpic::IntVect3(-2, 1, -4), mrpic::IntVect3(3, 5, 0)));
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 #include <set>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "src/core/simulation.hpp"
 #include "src/diag/output_dir.hpp"
 #include "src/health/monitor.hpp"
@@ -37,8 +39,16 @@
 namespace mrpic {
 namespace {
 
+// The aggregate campaign_smoke ctest and the gtest-discovered CampaignSmoke.*
+// and EventTimeline.* tests run this same code concurrently in one working
+// directory; a per-pid tag keeps their artifact files from clobbering each
+// other.
+std::string unique_tag(const std::string& base) {
+  return base + "_" + std::to_string(static_cast<long>(::getpid()));
+}
+
 TEST(CampaignSmoke, ThreeHeterogeneousRunsAggregateEndToEnd) {
-  const std::string camp = "test_campaign_smoke";
+  const std::string camp = unique_tag("test_campaign_smoke");
   std::filesystem::remove_all(camp);
 
   auto& reg = scenario::ScenarioRegistry::instance();
@@ -135,7 +145,7 @@ TEST(CampaignSmoke, ThreeHeterogeneousRunsAggregateEndToEnd) {
 }
 
 TEST(CampaignSmoke, ManifestRecordsFlagsAndArtifactInventory) {
-  const std::string dir = "test_campaign_manifest_run";
+  const std::string dir = unique_tag("test_campaign_manifest_run");
   std::filesystem::remove_all(dir);
   auto& reg = scenario::ScenarioRegistry::instance();
 
@@ -169,7 +179,7 @@ TEST(CampaignSmoke, ManifestRecordsFlagsAndArtifactInventory) {
 }
 
 TEST(EventTimeline, AllProducerCategoriesArriveInOrder) {
-  const std::string path = "test_event_timeline.jsonl";
+  const std::string path = unique_tag("test_event_timeline") + ".jsonl";
   std::remove(path.c_str());
 
   core::SimulationConfig<2> cfg;
