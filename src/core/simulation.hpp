@@ -200,7 +200,8 @@ public:
   // enabled — per-rank resident-bytes lanes in rank_recorder() (exported by
   // write_memory_heatmap_csv) plus budget-headroom gauges. The probe runs
   // inside a "memory" profiler region so its overhead is attributable (and
-  // gated <= 1% by bench_memory). Callable before or after init().
+  // gated <= 1% of the lwfa_mr step by bench_observers). Callable before or
+  // after init().
   void enable_memory_obs(MemoryObsConfig cfg = {});
   bool memory_obs_enabled() const { return m_memory_enabled; }
   const MemoryObsConfig& memory_obs_config() const { return m_memory_cfg; }

@@ -289,130 +289,16 @@ std::vector<std::string> validate_schema(const json::Value& doc) {
                    {"retry_s", 'n'},
                    {"critical_rank", 'n'}},
                   errors);
-  } else if (bench == "health") {
-    // bench_health: one record per probed cadence; ok flags are 0/1 numbers
-    // so they diff like any other metric.
-    check_records(doc, "cadence",
-                  {{"ledger_interval", 'n'},
-                   {"steps", 'n'},
-                   {"probes", 'n'},
-                   {"alerts", 'n'},
-                   {"nan_cells", 'n'},
-                   {"probe_s", 'n'},
+  } else if (bench == "observers") {
+    // bench_observers: one record per observer on lwfa_mr, its seconds
+    // against the step's; gated and overhead_ok are 0/1 numbers.
+    check_records(doc, "observers",
+                  {{"observer", 's'},
+                   {"seconds", 'n'},
                    {"step_s", 'n'},
                    {"overhead_frac", 'n'},
-                   {"energy_drift_ok", 'n'},
-                   {"continuity_ok", 'n'}},
-                  errors);
-  } else if (bench == "insitu") {
-    // bench_insitu: one record per probed cadence; the ok flags are 0/1
-    // numbers so they diff like any other metric.
-    check_records(doc, "cadence",
-                  {{"reduced_interval", 'n'},
-                   {"spectrum_interval", 'n'},
-                   {"stream_interval", 'n'},
-                   {"steps", 'n'},
-                   {"records", 'n'},
-                   {"stream_frames", 'n'},
-                   {"stream_bytes", 'n'},
-                   {"insitu_s", 'n'},
-                   {"step_s", 'n'},
-                   {"overhead_frac", 'n'},
-                   {"series_ok", 'n'},
-                   {"beam_ok", 'n'}},
-                  errors);
-  } else if (bench == "memory") {
-    // bench_memory: one record per (grid, species, MR on/off, cadence) case;
-    // byte columns are deterministic and diff exactly, timings are ignored
-    // by bench_smoke. ok/overhead flags are 0/1 numbers.
-    check_records(doc, "cases",
-                  {{"case", 's'},
-                   {"cells", 'n'},
-                   {"species", 'n'},
-                   {"mr", 'n'},
-                   {"interval", 'n'},
-                   {"steps", 'n'},
-                   {"total_bytes", 'n'},
-                   {"high_water_bytes", 'n'},
-                   {"fields_bytes", 'n'},
-                   {"particles_bytes", 'n'},
-                   {"mr_bytes", 'n'},
-                   {"conservation_ok", 'n'},
-                   {"probe_s", 'n'},
-                   {"step_s", 'n'},
-                   {"overhead_frac", 'n'},
+                   {"gated", 'n'},
                    {"overhead_ok", 'n'}},
-                  errors);
-  } else if (bench == "kernel_grain") {
-    // bench_kernel_grain: probe aggregates (analytic flops/bytes columns are
-    // deterministic, timings ignored by bench_smoke), the locality model on
-    // synthetic key streams, the halo phase timeline over a rank sweep, and
-    // the <= 1% probe-overhead verdict (0/1 flag, gated).
-    check_records(doc, "kernels",
-                  {{"kernel", 's'},
-                   {"invocations", 'n'},
-                   {"particles", 'n'},
-                   {"flops", 'n'},
-                   {"bytes", 'n'},
-                   {"intensity", 'n'},
-                   {"time_s", 'n'},
-                   {"gbyte_s", 'n'}},
-                  errors);
-    check_records(doc, "locality",
-                  {{"case", 's'},
-                   {"particles", 'n'},
-                   {"pairs", 'n'},
-                   {"inversion_fraction", 'n'},
-                   {"mean_stride_cells", 'n'},
-                   {"p99_stride_cells", 'n'},
-                   {"line_reuse", 'n'},
-                   {"sorted_line_reuse", 'n'},
-                   {"predicted_sort_speedup", 'n'}},
-                  errors);
-    check_records(doc, "overlap",
-                  {{"nranks", 'n'},
-                   {"compute_s", 'n'},
-                   {"comm_s", 'n'},
-                   {"post_s", 'n'},
-                   {"wait_s", 'n'},
-                   {"interior_compute_s", 'n'},
-                   {"overlap_headroom_s", 'n'},
-                   {"split_ok", 'n'}},
-                  errors);
-    check_records(doc, "probe",
-                  {{"steps", 'n'},
-                   {"sample_interval", 'n'},
-                   {"sampled_invocations", 'n'},
-                   {"probe_s", 'n'},
-                   {"step_s", 'n'},
-                   {"overhead_frac", 'n'},
-                   {"overhead_ok", 'n'}},
-                  errors);
-  } else if (bench == "campaign") {
-    // bench_campaign: the per-run telemetry trio's cost against the step
-    // loop (overhead_ok gated, raw seconds ignored by bench_smoke) and the
-    // deterministic aggregation of a synthetic three-run campaign.
-    check_records(doc, "overhead",
-                  {{"steps", 'n'},
-                   {"events", 'n'},
-                   {"heartbeat_writes", 'n'},
-                   {"telemetry_s", 'n'},
-                   {"step_s", 'n'},
-                   {"overhead_frac", 'n'},
-                   {"overhead_ok", 'n'}},
-                  errors);
-    check_records(doc, "aggregate",
-                  {{"runs", 'n'},
-                   {"valid", 'n'},
-                   {"completed", 'n'},
-                   {"aborted", 'n'},
-                   {"failed", 'n'},
-                   {"scenarios", 'n'},
-                   {"samples", 'n'},
-                   {"step_p50_s", 'n'},
-                   {"step_p99_s", 'n'},
-                   {"critical_events", 'n'},
-                   {"monotone_ok", 'n'}},
                   errors);
   } else if (bench == "mr_savings") {
     // bench_mr_savings --json: one record per (dim, ratio, patch-fraction)

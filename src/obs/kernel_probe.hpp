@@ -25,8 +25,8 @@
 //
 // Thread safety: record()/sample_locality()/snapshots are mutex-guarded
 // (kernel launches may come from concurrent drivers); the probe times its
-// own critical sections into self_time_s() so bench_kernel_grain can gate
-// the <= 1% overhead acceptance criterion.
+// own critical sections into self_time_s() so bench_observers can hold the
+// probe to <= 1% of step time.
 
 #include <cstdint>
 #include <mutex>
@@ -57,7 +57,7 @@ struct KernelObsConfig {
   int sample_interval = 5;
   // Particles of the cell-key locality sample per tile (contiguous prefix).
   // 1024 keeps the stride-sort cost inside the <= 1% probe-overhead budget
-  // even for cheap steps (gated in bench_kernel_grain); the statistics are
+  // (gated on the lwfa_mr step in bench_observers); the statistics are
   // already stable at this sample size.
   std::size_t locality_sample = 1024;
   // Stored per-invocation records are bounded; excess is counted as

@@ -159,6 +159,106 @@ void print_usage(const char* prog) {
       prog, prog);
 }
 
+RunTelemetry::RunTelemetry(const ScenarioSpec& spec, const RunOptions& opt,
+                           const diag::OutputDir& out)
+    : m_run_id(opt.run_id.empty() ? obs::generate_run_id(spec.name) : opt.run_id),
+      m_context(m_run_id, spec.name, out.path("run.json")),
+      m_events({.path = out.path(spec.output_prefix + "_events.jsonl")}),
+      m_heartbeat({.path = opt.heartbeat > 0 ? out.path("progress.json") : "",
+                   .interval_steps = opt.heartbeat},
+                  m_run_id) {
+  const std::string& pfx = spec.output_prefix;
+  const Real t_end = opt.t_end_fs > 0 ? opt.t_end_fs * 1e-15 : spec.t_end;
+  m_context.manifest().title = spec.title;
+  m_context.manifest().spec_digest = spec_digest(spec);
+  m_context.manifest().flags = normalized_flags(opt);
+  m_heartbeat.set_totals(opt.steps, opt.steps > 0 ? 0.0 : double(t_end));
+
+  // Inventory the artifacts this run will produce (bytes stat'ed at
+  // finalize; never-written ones record -1).
+  m_context.add_artifact("events", m_events.config().path);
+  if (opt.heartbeat > 0) { m_context.add_artifact("progress", m_heartbeat.config().path); }
+  m_context.add_artifact("history", out.path(pfx + "_history.csv"));
+  m_context.add_artifact("field", out.path(pfx + "_field.csv"));
+  m_context.add_artifact("trace", out.path(pfx + "_trace.json"));
+  m_context.add_artifact("metrics", out.path(pfx + "_metrics.jsonl"));
+  m_context.add_artifact("rank_heatmap", out.path("rank_heatmap.csv"));
+  m_context.add_artifact("ranks", out.path(pfx + "_ranks.json"));
+  m_context.add_artifact("perf_report_md", out.path(pfx + "_perf_report.md"));
+  m_context.add_artifact("perf_report_json", out.path(pfx + "_perf_report.json"));
+  if (opt.insitu) { m_context.add_artifact("insitu", out.path(pfx + "_insitu.jsonl")); }
+  if (opt.memory) { m_context.add_artifact("memory_heatmap", out.path("memory_heatmap.csv")); }
+}
+
+void RunTelemetry::start() {
+  m_context.start();
+  m_events.publish("lifecycle", "run_start", obs::EventSeverity::Info, -1,
+                   m_context.manifest().scenario);
+}
+
+void RunTelemetry::after_step(const core::Simulation<2>& sim) {
+  m_heartbeat.update(sim.step_count(), sim.time(), "step", last_alert_severity);
+}
+
+void RunTelemetry::finish(const core::Simulation<2>& sim, const std::string& status,
+                          int exit_code, const std::string& reason) {
+  // Terminal lifecycle event + final heartbeat + manifest finalize, so a
+  // campaign scheduler sees the outcome atomically.
+  m_events.publish("lifecycle", "run_end", obs::EventSeverity::Info, sim.step_count(),
+                   status);
+  m_heartbeat.finalize(status, sim.step_count(), sim.time());
+  m_context.manifest().num_events = m_events.num_events();
+  if (sim.health() != nullptr) { m_context.manifest().num_alerts = sim.health()->num_alerts(); }
+  m_context.finalize(status, exit_code, sim.step_count(), sim.time(), reason);
+}
+
+std::unique_ptr<core::Simulation<2>> build_observed_simulation(const ScenarioSpec& spec,
+                                                               const RunOptions& opt,
+                                                               const diag::OutputDir& out,
+                                                               RunTelemetry& tel) {
+  // Assemble without init so pre-init observability hooks see the setup
+  // phase, then enable per-flag observability and init.
+  BuildOptions bopt;
+  bopt.init = false;
+  auto sim = build_simulation(spec, bopt);
+  sim->enable_cluster_obs();
+  sim->enable_event_log(&tel.events());
+  sim->profiler().set_tracing(true);
+
+  if (opt.memory) {
+    core::MemoryObsConfig mcfg;
+    mcfg.interval = 1;
+    mcfg.node_budget_gb = opt.node_budget_gb;
+    sim->enable_memory_obs(mcfg);
+  }
+  if (opt.kernel_obs) { sim->enable_kernel_obs(); }
+  if (opt.health) {
+    sim->enable_health(spec.health);
+    sim->health()->set_alert_callback([&tel](const health::Alert& a) {
+      tel.last_alert_severity = obs::to_string(a.severity);
+    });
+  }
+  const std::string& pfx = spec.output_prefix;
+  insitu::InsituConfig icfg = spec.insitu;
+  if (opt.insitu) {
+    icfg.series_path = out.path(pfx + "_insitu.jsonl");
+    if (icfg.stream_interval > 0) { icfg.stream.basename = out.path(pfx + "_stream"); }
+  } else {
+    // Keep the registry armed (the final force-collect prints the beam
+    // deliverables through it) but disable every cadence series.
+    icfg.moments_interval = icfg.spectrum_interval = icfg.laser_interval =
+        icfg.wakefield_interval = icfg.field_energy_interval = 0;
+    icfg.stream_interval = 0;
+    icfg.series_path.clear();
+    icfg.stream.basename.clear();
+  }
+  sim->enable_insitu(icfg);
+
+  sim->init();
+  apply_species_drifts(*sim, spec);
+  return sim;
+}
+
 int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
                  const diag::OutputDir& out) {
   ScenarioSpec spec = spec_in;
@@ -176,81 +276,10 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
 
   // Campaign telemetry: every run gets a manifest, an event timeline and a
   // progress heartbeat regardless of the observability flags.
-  const std::string run_id =
-      opt.run_id.empty() ? obs::generate_run_id(spec.name) : opt.run_id;
-  obs::RunContext rc(run_id, spec.name, out.path("run.json"));
-  rc.manifest().title = spec.title;
-  rc.manifest().spec_digest = spec_digest(spec);
-  rc.manifest().flags = normalized_flags(opt);
-
-  obs::EventLogConfig ecfg;
-  ecfg.path = out.path(pfx + "_events.jsonl");
-  obs::EventLog elog(ecfg);
-
-  obs::HeartbeatConfig hbcfg;
-  hbcfg.interval_steps = opt.heartbeat;
-  if (opt.heartbeat > 0) { hbcfg.path = out.path("progress.json"); }
-  obs::ProgressHeartbeat heartbeat(hbcfg, run_id);
-  heartbeat.set_totals(opt.steps, opt.steps > 0 ? 0.0 : double(t_end));
-
-  // Inventory the artifacts this run will produce (bytes stat'ed at
-  // finalize; never-written ones record -1).
-  rc.add_artifact("events", ecfg.path);
-  if (opt.heartbeat > 0) { rc.add_artifact("progress", hbcfg.path); }
-  rc.add_artifact("history", out.path(pfx + "_history.csv"));
-  rc.add_artifact("field", out.path(pfx + "_field.csv"));
-  rc.add_artifact("trace", out.path(pfx + "_trace.json"));
-  rc.add_artifact("metrics", out.path(pfx + "_metrics.jsonl"));
-  rc.add_artifact("rank_heatmap", out.path("rank_heatmap.csv"));
-  rc.add_artifact("ranks", out.path(pfx + "_ranks.json"));
-  rc.add_artifact("perf_report_md", out.path(pfx + "_perf_report.md"));
-  rc.add_artifact("perf_report_json", out.path(pfx + "_perf_report.json"));
-  if (opt.insitu) { rc.add_artifact("insitu", out.path(pfx + "_insitu.jsonl")); }
-  if (opt.memory) { rc.add_artifact("memory_heatmap", out.path("memory_heatmap.csv")); }
-  rc.start();
-  elog.publish("lifecycle", "run_start", obs::EventSeverity::Info, -1, spec.name);
-
-  // Assemble without init so pre-init observability hooks see the setup
-  // phase, then enable per-flag observability and init.
-  BuildOptions bopt;
-  bopt.init = false;
-  auto sim_ptr = build_simulation(spec, bopt);
+  RunTelemetry tel(spec, opt, out);
+  tel.start();
+  auto sim_ptr = build_observed_simulation(spec, opt, out, tel);
   core::Simulation<2>& sim = *sim_ptr;
-  sim.enable_cluster_obs();
-  sim.enable_event_log(&elog);
-  sim.profiler().set_tracing(true);
-
-  core::MemoryObsConfig mcfg;
-  mcfg.interval = 1;
-  mcfg.node_budget_gb = opt.node_budget_gb;
-  if (opt.memory) { sim.enable_memory_obs(mcfg); }
-  if (opt.kernel_obs) { sim.enable_kernel_obs(); }
-  std::string last_alert_severity;
-  if (opt.health) {
-    sim.enable_health(spec.health);
-    sim.health()->set_alert_callback([&last_alert_severity](const health::Alert& a) {
-      last_alert_severity = obs::to_string(a.severity);
-    });
-  }
-  {
-    insitu::InsituConfig icfg = spec.insitu;
-    if (opt.insitu) {
-      icfg.series_path = out.path(pfx + "_insitu.jsonl");
-      if (icfg.stream_interval > 0) { icfg.stream.basename = out.path(pfx + "_stream"); }
-    } else {
-      // Keep the registry armed (the final force-collect prints the beam
-      // deliverables through it) but disable every cadence series.
-      icfg.moments_interval = icfg.spectrum_interval = icfg.laser_interval =
-          icfg.wakefield_interval = icfg.field_energy_interval = 0;
-      icfg.stream_interval = 0;
-      icfg.series_path.clear();
-      icfg.stream.basename.clear();
-    }
-    sim.enable_insitu(icfg);
-  }
-
-  sim.init();
-  apply_species_drifts(sim, spec);
 
   if (spec.cadences.checkpoint.enabled && spec.cadences.checkpoint.every > 0) {
     resil::CheckpointPolicyConfig ccfg;
@@ -286,7 +315,7 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
     for (;;) {
       if (opt.steps > 0 ? sim.step_count() >= opt.steps : sim.time() >= t_end) { break; }
       sim.step();
-      heartbeat.update(sim.step_count(), sim.time(), "step", last_alert_severity);
+      tel.after_step(sim);
       if (spec.cadences.diagnostics.due(sim.step_count())) {
         record_row();
         std::printf("t = %7.1f fs  step %6lld  E_x = %8.2f GV/m  particles %lld\n",
@@ -301,15 +330,15 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
     exit_code = 1;
     status = obs::kRunStatusAborted;
     reason = e.what();
-    elog.publish("lifecycle", "abort", obs::EventSeverity::Critical, sim.step_count(),
-                 reason);
+    tel.events().publish("lifecycle", "abort", obs::EventSeverity::Critical,
+                         sim.step_count(), reason);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "scenario %s failed: %s\n", spec.name.c_str(), e.what());
     exit_code = 3;
     status = obs::kRunStatusFailed;
     reason = e.what();
-    elog.publish("lifecycle", "failure", obs::EventSeverity::Critical, sim.step_count(),
-                 reason);
+    tel.events().publish("lifecycle", "failure", obs::EventSeverity::Critical,
+                         sim.step_count(), reason);
   }
   record_row();
 
@@ -361,7 +390,7 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
     const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
     report.memory = obs::summarize_memory(obs::memory_ledger(), sim.profiler(), &measured,
                                           &analytic, &sim.rank_recorder(),
-                                          mcfg.budget_bytes());
+                                          sim.memory_obs_config().budget_bytes());
     sim.rank_recorder().write_memory_heatmap_csv(out.path("memory_heatmap.csv"));
     sections += ", memory";
   }
@@ -391,14 +420,7 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
   obs::write_markdown(report, out.path(pfx + "_perf_report.md"));
   obs::write_json(report, out.path(pfx + "_perf_report.json"));
 
-  // Terminal lifecycle event + final heartbeat + manifest finalize, so a
-  // campaign scheduler sees the outcome atomically.
-  elog.publish("lifecycle", "run_end", obs::EventSeverity::Info, sim.step_count(),
-               status);
-  heartbeat.finalize(status, sim.step_count(), sim.time());
-  rc.manifest().num_events = elog.num_events();
-  if (opt.health) { rc.manifest().num_alerts = sim.health()->num_alerts(); }
-  rc.finalize(status, exit_code, sim.step_count(), sim.time(), reason);
+  tel.finish(sim, status, exit_code, reason);
 
   sim.profiler().report(std::cout);
   std::printf("wrote %s_{history,field}.csv, %s_trace.json, %s_metrics.jsonl, "
@@ -406,9 +428,9 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
               pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(),
               out.dir().c_str());
   std::printf("perf report sections: %s\n", sections.c_str());
-  std::printf("run %s: status %s (%lld timeline events), manifest %s\n", run_id.c_str(),
-              status.c_str(), static_cast<long long>(elog.num_events()),
-              rc.path().c_str());
+  std::printf("run %s: status %s (%lld timeline events), manifest %s\n", tel.run_id().c_str(),
+              status.c_str(), static_cast<long long>(tel.events().num_events()),
+              tel.manifest_path().c_str());
   const auto& rep = sim.last_step_report();
   std::printf("last step %lld: %.3f ms wall, %lld particles, %lld cells\n",
               static_cast<long long>(rep.step), rep.wall_s * 1e3,

@@ -19,9 +19,13 @@
 // lifecycle). obs::campaign / the campaign_report CLI aggregate these
 // across a directory of runs.
 
+#include <memory>
 #include <string>
 
 #include "src/diag/output_dir.hpp"
+#include "src/obs/event_log.hpp"
+#include "src/obs/heartbeat.hpp"
+#include "src/obs/run_manifest.hpp"
 #include "src/scenario/scenario_spec.hpp"
 
 namespace mrpic::scenario {
@@ -41,6 +45,48 @@ struct RunOptions {
   std::string run_id;        // manifest run id ("" = generate one)
   int heartbeat = 5;         // progress.json rewrite cadence in steps (0 = off)
 };
+
+// The run-telemetry trio every run carries, whatever its flags: the run.json
+// manifest (obs::RunContext), the progress.json heartbeat every
+// opt.heartbeat steps and the <pfx>_events.jsonl timeline. Non-movable (the
+// event log owns a mutex); construct in place.
+class RunTelemetry {
+public:
+  RunTelemetry(const ScenarioSpec& spec, const RunOptions& opt, const diag::OutputDir& out);
+
+  // Write the "running" manifest and publish the run_start event.
+  void start();
+  // Heartbeat after one completed step.
+  void after_step(const core::Simulation<2>& sim);
+  // Publish run_end, then finalize the heartbeat and the manifest.
+  void finish(const core::Simulation<2>& sim, const std::string& status, int exit_code,
+              const std::string& reason);
+
+  const std::string& run_id() const { return m_run_id; }
+  const std::string& manifest_path() const { return m_context.path(); }
+  obs::EventLog& events() { return m_events; }
+
+  // Severity of the latest health alert, shown in progress.json ("" = none).
+  std::string last_alert_severity;
+
+private:
+  std::string m_run_id;
+  obs::RunContext m_context;
+  obs::EventLog m_events;
+  obs::ProgressHeartbeat m_heartbeat;
+};
+
+// Build `spec` and attach every observer `opt` asks for, the one set-up
+// behind both mrpic_run and bench_observers: cluster observation, trace
+// profiling and `tel`'s event log always; the byte ledger every step
+// (memory), the default kernel probe (kernel_obs), health at the spec's
+// cadences, and the insitu series and stream at the spec's cadences under
+// `out` (insitu; without it the registry stays armed with every cadence off,
+// for the final beam summary). Returns the initialized simulation.
+std::unique_ptr<core::Simulation<2>> build_observed_simulation(const ScenarioSpec& spec,
+                                                               const RunOptions& opt,
+                                                               const diag::OutputDir& out,
+                                                               RunTelemetry& tel);
 
 // Print the mrpic_run usage text to stderr.
 void print_usage(const char* prog);

@@ -1,6 +1,7 @@
 // MemorySmoke: end-to-end memory observability through Simulation<DIM>.
 // Acceptance gates from the memory-observability milestone:
-//  - a memory-obs run publishes mem_* gauges every probe step and the
+//  - a memory-obs run publishes mem_* gauges every probe step, its fields/
+//    particles/mr accounts hold the exact bytes of the layout, and the
 //    process-global ledger conserves to the byte (charged - released ==
 //    current, checked with EXPECT_EQ, not a tolerance),
 //  - the ledger-measured MR memory-savings factor is > 1 and agrees with
@@ -60,35 +61,68 @@ void add_quarter_patch(Simulation<2>& sim, int n) {
 }
 
 TEST(MemorySmoke, GaugesPublishedAndLedgerConservedExactly) {
-  Simulation<2> sim(periodic_config());
-  add_thermal_electrons(sim);
-  sim.enable_memory_obs();
-  sim.init();
-  sim.run(5);
+  // Every account is an exact function of the layout (capacity-exact field
+  // fabs, size-based particle accounts), so each layout pins its bytes:
+  // grid n^2, species count, quarter MR patch on/off.
+  struct Layout {
+    int n, species;
+    bool mr;
+    std::int64_t fields, particles, mr_bytes, total, high_water;
+  };
+  const Layout layouts[] = {
+      {16, 1, false, 73728, 49152, 0, 122880, 122880},
+      {32, 1, false, 165888, 196608, 0, 362496, 362496},
+      {32, 2, false, 165888, 393216, 0, 559104, 559104},
+      {32, 1, true, 165888, 196608, 374016, 736512, 748800},
+      {32, 2, true, 165888, 393216, 374016, 933120, 945408},
+  };
+  for (const auto& lay : layouts) {
+    SCOPED_TRACE("n=" + std::to_string(lay.n) + " species=" + std::to_string(lay.species) +
+                 " mr=" + std::to_string(lay.mr));
+    obs::memory_ledger().reset_high_water(); // per-layout peak
+    Simulation<2> sim(periodic_config(lay.n));
+    add_thermal_electrons(sim);
+    if (lay.species > 1) {
+      plasma::InjectorConfig<2> inj;
+      inj.density = plasma::uniform<2>(5e23);
+      inj.ppc = mrpic::IntVect2(2, 2);
+      inj.temperature_ev = 50.0;
+      sim.add_species(particles::Species::proton("ions"), inj);
+    }
+    if (lay.mr) { add_quarter_patch(sim, lay.n); }
+    sim.enable_memory_obs();
+    sim.init();
+    sim.run(5);
 
-  // The probe ran inside its own profiler region every step.
-  EXPECT_EQ(sim.profiler().stats("step/memory").count, 5);
+    // The probe ran inside its own profiler region every step.
+    EXPECT_EQ(sim.profiler().stats("step/memory").count, 5);
 
-  // mem_* gauges are live in the registry and in the per-step records.
-  const auto& reg = sim.metrics();
-  EXPECT_GT(reg.gauge_value("mem_total_bytes"), 0.0);
-  EXPECT_GT(reg.gauge_value("mem_fields_bytes"), 0.0);
-  EXPECT_GT(reg.gauge_value("mem_particles_bytes"), 0.0);
-  EXPECT_GT(reg.gauge_value("mem_total_high_water_bytes"), 0.0);
-  EXPECT_GT(reg.gauge_value("mem_alloc_count"), 0.0);
-  ASSERT_EQ(reg.history().size(), 5u);
-  EXPECT_GT(reg.history().back().gauges.at("mem_total_bytes"), 0.0);
+    // mem_* gauges are live in the registry and in the per-step records.
+    const auto& reg = sim.metrics();
+    EXPECT_GT(reg.gauge_value("mem_total_bytes"), 0.0);
+    EXPECT_GT(reg.gauge_value("mem_fields_bytes"), 0.0);
+    EXPECT_GT(reg.gauge_value("mem_particles_bytes"), 0.0);
+    EXPECT_GT(reg.gauge_value("mem_total_high_water_bytes"), 0.0);
+    EXPECT_GT(reg.gauge_value("mem_alloc_count"), 0.0);
+    ASSERT_EQ(reg.history().size(), 5u);
+    EXPECT_GT(reg.history().back().gauges.at("mem_total_bytes"), 0.0);
 
-  // The ledger itself: fields and particles both live in tagged accounts,
-  // and the conservation invariant holds to the byte.
-  const auto& ledger = obs::memory_ledger();
-  EXPECT_GT(ledger.current_prefix("fields.level0"), 0);
-  EXPECT_GT(ledger.current_prefix("particles.electrons"), 0);
-  EXPECT_EQ(ledger.total_charged() - ledger.total_released(),
-            ledger.total_current());
-  // The published gauge is the ledger total of the probe instant.
-  EXPECT_DOUBLE_EQ(reg.gauge_value("mem_total_bytes"),
-                   static_cast<double>(ledger.total_current()));
+    // The ledger itself: fields and particles both live in tagged accounts,
+    // each to the byte, and the conservation invariant holds exactly.
+    const auto& ledger = obs::memory_ledger();
+    EXPECT_GT(ledger.current_prefix("fields.level0"), 0);
+    EXPECT_GT(ledger.current_prefix("particles.electrons"), 0);
+    EXPECT_EQ(ledger.current_prefix("fields"), lay.fields);
+    EXPECT_EQ(ledger.current_prefix("particles"), lay.particles);
+    EXPECT_EQ(ledger.current_prefix("mr"), lay.mr_bytes);
+    EXPECT_EQ(ledger.total_current(), lay.total);
+    EXPECT_EQ(ledger.total_high_water(), lay.high_water);
+    EXPECT_EQ(ledger.total_charged() - ledger.total_released(),
+              ledger.total_current());
+    // The published gauge is the ledger total of the probe instant.
+    EXPECT_DOUBLE_EQ(reg.gauge_value("mem_total_bytes"),
+                     static_cast<double>(ledger.total_current()));
+  }
 }
 
 TEST(MemorySmoke, ProbeCadenceFollowsInterval) {
@@ -101,6 +135,9 @@ TEST(MemorySmoke, ProbeCadenceFollowsInterval) {
   sim.run(7);
   // Steps are 0-based: probes at steps 0, 3 and 6.
   EXPECT_EQ(sim.profiler().stats("step/memory").count, 3);
+  // A sparse cadence still leaves the accounts at the layout's exact bytes.
+  EXPECT_EQ(obs::memory_ledger().current_prefix("particles"), 196608);
+  EXPECT_EQ(obs::memory_ledger().total_current(), 362496);
 }
 
 TEST(MemorySmoke, MeasuredMrSavingsAgreesWithAnalyticModel) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/simulation.hpp"
@@ -156,6 +157,14 @@ TEST(Monitor, CadenceLargerThanRunNeverFires) {
   HealthMonitor mon(cfg);
   for (std::int64_t s = 1; s <= 20; ++s) { EXPECT_FALSE(mon.sample_due(s)); }
   EXPECT_TRUE(mon.sample_due(1000));
+
+  // Probes over a 100-step run (steps 0..99) at each ledger cadence.
+  const std::pair<int, int> cadences[] = {{1, 100}, {5, 20}, {20, 5}};
+  for (const auto& [interval, probes] : cadences) {
+    int n = 0;
+    for (std::int64_t s = 0; s < 100; ++s) { n += HealthMonitor::due(s, interval) ? 1 : 0; }
+    EXPECT_EQ(n, probes) << "ledger_interval " << interval;
+  }
 }
 
 TEST(Monitor, WriteJsonlDumpsHistoryAndAlerts) {

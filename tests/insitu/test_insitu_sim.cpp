@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <unistd.h>
 
@@ -172,6 +173,41 @@ TEST(InsituSmoke, PipelineEndToEnd) {
   obs::write_markdown(report, md);
   EXPECT_NE(md.str().find("## Beam physics"), std::string::npos);
   cleanup(tag);
+
+  // Record, frame and byte counts follow the cadences exactly. 100 steps of
+  // a 32^2 plasma: the four reduced diagnostics at `reduced`, the spectrum at
+  // `spectrum`, the exporter (Ex, Ey 4x downsampled + a 32x32 phase space)
+  // at `stream` — every step, the driver defaults, defaults plus streaming,
+  // sparse, off.
+  struct Cadence {
+    int reduced, spectrum, stream;
+    std::int64_t records, frames, bytes;
+  };
+  const Cadence sweep[] = {{1, 1, 0, 500, 0, 0},
+                           {10, 50, 0, 42, 0, 0},
+                           {10, 50, 20, 42, 15, 24460},
+                           {50, 0, 0, 8, 0, 0},
+                           {0, 0, 0, 0, 0, 0}};
+  for (const auto& c : sweep) {
+    SCOPED_TRACE("reduced " + std::to_string(c.reduced) + " spectrum " +
+                 std::to_string(c.spectrum) + " stream " + std::to_string(c.stream));
+    auto ccfg = smoke_config(tag);
+    ccfg.moments_interval = ccfg.laser_interval = ccfg.wakefield_interval =
+        ccfg.field_energy_interval = c.reduced;
+    ccfg.spectrum_interval = c.spectrum;
+    ccfg.stream_interval = c.stream;
+    ccfg.stream_downsample = 4;
+    ccfg.phase_space.na = ccfg.phase_space.nb = 32;
+    core::Simulation<2> csim(plasma_config(32));
+    csim.enable_insitu(ccfg);
+    run_plasma(csim, 100);
+    EXPECT_EQ(csim.insitu()->num_records(), c.records);
+    const auto* csw = csim.insitu_stream();
+    EXPECT_EQ(csw ? static_cast<std::int64_t>(csw->frames_written()) : 0, c.frames);
+    EXPECT_EQ(csw ? static_cast<std::int64_t>(csw->bytes_written()) : 0, c.bytes);
+    EXPECT_TRUE(insitu::Registry::validate_series(ccfg.series_path).empty());
+    cleanup(tag);
+  }
 }
 
 TEST(InsituSmoke, ReplayAppendKeepsSeriesCanonicalizable) {

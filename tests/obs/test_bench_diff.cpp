@@ -104,6 +104,11 @@ TEST(BenchDiff, SchemaAcceptsWellFormedDocs) {
     "routines": [{"routine": "gather", "reference_s": 1.0,
       "optimized_s": 0.5, "speedup": 2.0}]})");
   EXPECT_TRUE(validate_schema(kernels).empty());
+  const auto observers = J(R"({
+    "bench": "observers", "scenario": "lwfa_mr", "steps": 60, "threads": 1,
+    "observers": [{"observer": "memory", "seconds": 0.001, "step_s": 1.5,
+      "overhead_frac": 0.0007, "gated": 1, "overhead_ok": 1}]})");
+  EXPECT_TRUE(validate_schema(observers).empty());
   // Unknown bench kinds only need the name.
   EXPECT_TRUE(validate_schema(J(R"({"bench":"custom"})")).empty());
 }
@@ -121,6 +126,10 @@ TEST(BenchDiff, SchemaRejectsMalformedDocs) {
     "routines": [{"routine": "gather", "reference_s": "fast"}]})");
   const auto errors = validate_schema(bad);
   EXPECT_GE(errors.size(), 2u); // bad reference_s + missing optimized_s/speedup
+  // An observer row without its share.
+  EXPECT_FALSE(validate_schema(J(R"({"bench": "observers", "observers": [
+    {"observer": "memory", "seconds": 0.001, "step_s": 1.5, "gated": 1,
+     "overhead_ok": 1}]})")).empty());
 }
 
 } // namespace

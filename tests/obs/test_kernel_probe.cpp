@@ -6,6 +6,7 @@
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/cluster/sim_cluster.hpp"
@@ -146,6 +147,34 @@ TEST(KernelLocality, ShuffledKeysInvertHalf) {
   EXPECT_DOUBLE_EQ(s.mean_stride_cells, 1.0);
   EXPECT_DOUBLE_EQ(s.predicted_sort_speedup, 1.0);
 
+  // Reversed input: every pair inverts, yet stride 1 keeps each line hot,
+  // so sorting buys nothing.
+  std::reverse(keys.begin(), keys.end());
+  const auto r = locality_from_keys(keys);
+  EXPECT_DOUBLE_EQ(r.inversion_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(r.mean_stride_cells, 1.0);
+  EXPECT_DOUBLE_EQ(r.line_reuse, 1.0);
+  EXPECT_DOUBLE_EQ(r.predicted_sort_speedup, 1.0);
+
+  // Two interleaved halves (0, n/2, 1, n/2 + 1, ...): strides n/2 and
+  // n/2 - 1 alternate, no line is reused, and sorting is predicted to pay
+  // the model's ceiling 1 / (1 - kLineReuseSaving) = 8x.
+  const std::int64_t half = 2048;
+  std::vector<std::int64_t> strided;
+  for (std::int64_t i = 0; i < half; ++i) {
+    strided.push_back(i);
+    strided.push_back(i + half);
+  }
+  const auto st = locality_from_keys(strided);
+  EXPECT_EQ(st.pairs, 2 * half - 1);
+  EXPECT_DOUBLE_EQ(st.inversion_fraction, double(half - 1) / double(2 * half - 1));
+  EXPECT_DOUBLE_EQ(st.mean_stride_cells,
+                   double(half * half + (half - 1) * (half - 1)) / double(2 * half - 1));
+  EXPECT_DOUBLE_EQ(st.p99_stride_cells, double(half));
+  EXPECT_DOUBLE_EQ(st.line_reuse, 0.0);
+  EXPECT_DOUBLE_EQ(st.sorted_line_reuse, 1.0);
+  EXPECT_DOUBLE_EQ(st.predicted_sort_speedup, 8.0);
+
   // Degenerate inputs.
   EXPECT_DOUBLE_EQ(locality_from_keys({}).predicted_sort_speedup, 1.0);
   EXPECT_DOUBLE_EQ(locality_from_keys({42}).predicted_sort_speedup, 1.0);
@@ -201,40 +230,64 @@ TEST(KernelLocality, MergeIsPairWeighted) {
 
 TEST(KernelOverlap, PhaseSplitInvariants) {
   // Every rank's phase split must reconstruct its comm time exactly, and
-  // the derived headroom is min(wait, interior compute).
+  // the derived headroom is min(wait, interior compute). The critical
+  // rank's timeline is pure model arithmetic, pinned per rank count.
+  struct Expected {
+    int nranks;
+    double compute_s, comm_s, post_s, wait_s, interior_s, headroom_s;
+  };
+  const Expected sweep[] = {
+      {2, 8.0e-4, 4.199872e-5, 2.0e-6, 3.999872e-5, 4.5e-4, 3.999872e-5},
+      {4, 4.0e-4, 3.780288e-5, 1.8e-6, 3.600288e-5, 2.25e-4, 3.600288e-5},
+      {8, 2.0e-4, 4.614272e-5, 2.2e-6, 4.394272e-5, 1.125e-4, 4.394272e-5},
+  };
   const mrpic::Box2 domain(mrpic::IntVect2(0, 0), mrpic::IntVect2(63, 63));
   const auto ba = mrpic::BoxArray<2>::decompose(domain, 16);
-  const int nranks = 4;
-  const auto dm =
-      dist::DistributionMapping::make(ba, nranks, dist::Strategy::SpaceFillingCurve);
-  cluster::SimCluster cl(nranks);
-  RankRecorder rec(nranks);
-  rec.set_step(0);
-  const auto cost =
-      cl.step_cost(ba, dm, std::vector<Real>(ba.size(), Real(1e-4)), 9, 2, 8, &rec);
+  for (const auto& want : sweep) {
+    SCOPED_TRACE("nranks " + std::to_string(want.nranks));
+    const int nranks = want.nranks;
+    const auto dm =
+        dist::DistributionMapping::make(ba, nranks, dist::Strategy::SpaceFillingCurve);
+    cluster::SimCluster cl(nranks);
+    RankRecorder rec(nranks);
+    rec.set_step(0);
+    const auto cost =
+        cl.step_cost(ba, dm, std::vector<Real>(ba.size(), Real(1e-4)), 9, 2, 8, &rec);
 
-  ASSERT_EQ(rec.steps().size(), 1u);
-  const auto& ranks = rec.steps().front().ranks;
-  ASSERT_EQ(ranks.size(), std::size_t(nranks));
-  double max_total = 0;
-  std::size_t critical = 0;
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    const auto& rs = ranks[r];
-    EXPECT_NEAR(rs.post_s + rs.wait_s, rs.comm_s, 1e-12) << "rank " << r;
-    EXPECT_GE(rs.post_s, 0.0);
-    EXPECT_GE(rs.wait_s, 0.0);
-    EXPECT_LE(rs.interior_compute_s, rs.compute_s + 1e-12);
-    EXPECT_NEAR(rs.overlap_headroom_s, std::min(rs.wait_s, rs.interior_compute_s), 1e-12);
-    if (rs.total_s() > max_total) {
-      max_total = rs.total_s();
-      critical = r;
+    ASSERT_EQ(rec.steps().size(), 1u);
+    const auto& ranks = rec.steps().front().ranks;
+    ASSERT_EQ(ranks.size(), std::size_t(nranks));
+    double max_total = 0;
+    std::size_t critical = 0;
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+      const auto& rs = ranks[r];
+      EXPECT_NEAR(rs.post_s + rs.wait_s, rs.comm_s, 1e-12) << "rank " << r;
+      EXPECT_GE(rs.post_s, 0.0);
+      EXPECT_GE(rs.wait_s, 0.0);
+      EXPECT_LE(rs.interior_compute_s, rs.compute_s + 1e-12);
+      EXPECT_NEAR(rs.overlap_headroom_s, std::min(rs.wait_s, rs.interior_compute_s),
+                  1e-12);
+      if (rs.total_s() > max_total) {
+        max_total = rs.total_s();
+        critical = r;
+      }
     }
+    // StepCost carries the critical rank's timeline.
+    EXPECT_NEAR(cost.post_s, ranks[critical].post_s, 1e-15);
+    EXPECT_NEAR(cost.wait_s, ranks[critical].wait_s, 1e-15);
+    EXPECT_NEAR(cost.overlap_headroom_s, ranks[critical].overlap_headroom_s, 1e-15);
+    EXPECT_GT(cost.wait_s, 0.0); // this layout has inter-rank halos
+
+    const auto near = [](double got, double expected) {
+      EXPECT_NEAR(got, expected, 1e-9 * expected);
+    };
+    near(cost.compute_s, want.compute_s);
+    near(cost.comm_s, want.comm_s);
+    near(cost.post_s, want.post_s);
+    near(cost.wait_s, want.wait_s);
+    near(cost.interior_compute_s, want.interior_s);
+    near(cost.overlap_headroom_s, want.headroom_s);
   }
-  // StepCost carries the critical rank's timeline.
-  EXPECT_NEAR(cost.post_s, ranks[critical].post_s, 1e-15);
-  EXPECT_NEAR(cost.wait_s, ranks[critical].wait_s, 1e-15);
-  EXPECT_NEAR(cost.overlap_headroom_s, ranks[critical].overlap_headroom_s, 1e-15);
-  EXPECT_GT(cost.wait_s, 0.0); // this layout has inter-rank halos
 }
 
 // --- perf-report section --------------------------------------------------

@@ -38,11 +38,23 @@ void add_electrons(Simulation<2>& sim) {
 TEST(ObsSim, ProfilerNestsStagesUnderStep) {
   Simulation<2> sim(small_config());
   add_electrons(sim);
+  sim.enable_kernel_obs(); // every 5th step: only step 0 of these three
   sim.init();
   sim.run(3);
   EXPECT_EQ(sim.profiler().stats("step").count, 3);
   EXPECT_EQ(sim.profiler().stats("step/particles").count, 3);
   EXPECT_EQ(sim.profiler().stats("step/field_solve").count, 3);
+  EXPECT_EQ(sim.profiler().stats("step/kernel_obs").count, 1);
+  // The sampled step probed each kernel once per tile (four 16^2 boxes,
+  // 256 electrons each), at the analytic per-particle flops and bytes.
+  for (int k = 0; k < obs::kNumKernelKinds; ++k) {
+    const auto kind = static_cast<obs::KernelKind>(k);
+    const auto agg = sim.kernel_probe()->aggregate(kind);
+    EXPECT_EQ(agg.invocations, 4) << obs::kernel_kind_name(kind);
+    EXPECT_EQ(agg.particles, 1024) << obs::kernel_kind_name(kind);
+    EXPECT_DOUBLE_EQ(agg.flops, 1024 * obs::kernel_flops_per_particle(kind, 2, 2));
+    EXPECT_DOUBLE_EQ(agg.bytes, 1024 * obs::kernel_bytes_per_particle(kind, 2, 2));
+  }
   // Stages nest strictly inside the step.
   const auto step = sim.profiler().stats("step");
   const auto particles = sim.profiler().stats("step/particles");
