@@ -49,6 +49,16 @@ struct Array4 {
   // 2D convenience overload (k = klo).
   constexpr T& operator()(int i, int j) const { return p[offset(i, j, klo, 0)]; }
 
+  // Start of the contiguous row (i .. i+len-1, j, k, n), for stencils that
+  // walk a row through a pointer. The start goes through offset()'s bounds
+  // check, and so, in bounds-checked builds, does the row's last element.
+  constexpr T* row(int i, int j, int k, int n, [[maybe_unused]] int len) const {
+#ifdef MRPIC_BOUNDS_CHECK
+    assert(contains(i + len - 1, j, k));
+#endif
+    return &(*this)(i, j, k, n);
+  }
+
   constexpr explicit operator bool() const { return p != nullptr; }
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/obs/event_log.hpp"
+#include "src/particles/shape.hpp"
 #include "src/resil/recovery.hpp"
 
 namespace mrpic::core {
@@ -159,6 +160,8 @@ void Simulation<DIM>::enable_mr_patch(const typename mr::MRPatch<DIM>::Config& c
 template <int DIM>
 void Simulation<DIM>::init() {
   assert(!m_initialized);
+  // The particle kernels exist for shape orders 1-3 only.
+  particles::require_shape_order(m_cfg.shape_order);
   const mrpic::Geometry<DIM> geom(m_cfg.domain, m_cfg.prob_lo, m_cfg.prob_hi,
                                   m_cfg.periodic);
   const auto ba = mrpic::BoxArray<DIM>::decompose(m_cfg.domain, m_cfg.max_grid_size);

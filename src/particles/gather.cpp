@@ -8,24 +8,44 @@ namespace mrpic::particles {
 
 namespace {
 
-// Per-dimension interpolation data for both staggerings at a fixed order.
 template <int ORDER>
-struct DimWeights {
-  Real w_nodal[ORDER + 1];
-  Real w_half[ORDER + 1];
-  int i_nodal;
-  int i_half;
+using PlaneWeights = Real[2][2][ORDER + 1][ORDER + 1];
 
-  void compute(Real xi) {
-    i_nodal = Shape<ORDER>::compute(w_nodal, xi);
-    i_half = Shape<ORDER>::compute(w_half, xi - Real(0.5));
+// Interpolates one field component with Yee staggering S (per direction:
+// 0 nodal, 1 half-shifted). wxy[sx][sy][b][a] holds the in-plane weight
+// product wx[a] * wy[b]; the stencil walks contiguous i-rows of the fab.
+template <int DIM, int ORDER, std::array<int, 3> S>
+Real interp(const Array4<const Real>& f, int comp, const StaggeredShape<ORDER>* sh,
+            const PlaneWeights<ORDER>& wxy) {
+  constexpr int N = ORDER + 1;
+  const auto& w = wxy[S[0]][S[1]];
+  const int i0 = sh[0].first[S[0]];
+  const int j0 = sh[1].first[S[1]];
+  Real acc = 0;
+  if constexpr (DIM == 2) {
+    for (int b = 0; b < N; ++b) {
+      const Real* row = f.row(i0, j0 + b, 0, comp, N);
+      for (int a = 0; a < N; ++a) { acc += w[b][a] * row[a]; }
+    }
+  } else {
+    const int k0 = sh[2].first[S[2]];
+    for (int cc = 0; cc < N; ++cc) {
+      const Real wz = sh[2].w[S[2]][cc];
+      for (int b = 0; b < N; ++b) {
+        const Real* row = f.row(i0, j0 + b, k0 + cc, comp, N);
+        for (int a = 0; a < N; ++a) { acc += w[b][a] * wz * row[a]; }
+      }
+    }
   }
-};
+  return acc;
+}
 
 template <int DIM, int ORDER>
 void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom,
                  const Array4<const Real>& E, const Array4<const Real>& B,
                  GatheredFields& out) {
+  using fields::b_stag3;
+  using fields::e_stag3;
   const std::size_t np = tile.size();
   out.resize(np);
 
@@ -33,47 +53,28 @@ void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom
   const auto idx = geom.inv_dx();
 
   mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
-    DimWeights<ORDER> dw[DIM];
-    for (int d = 0; d < DIM; ++d) {
-      dw[d].compute((tile.x[d][p] - lo[d]) * idx[d]);
-    }
+    StaggeredShape<ORDER> sh[DIM];
+    for (int d = 0; d < DIM; ++d) { sh[d].compute((tile.x[d][p] - lo[d]) * idx[d]); }
 
-    // Interpolate one staggered component: stag[d] selects nodal/half
-    // weights per dimension.
-    auto interp = [&](const Array4<const Real>& f, int comp, const auto& stag) {
-      Real acc = 0;
-      if constexpr (DIM == 2) {
+    // The six components use all four in-plane staggerings; Ex/By and
+    // Ey/Bx share theirs.
+    PlaneWeights<ORDER> wxy;
+    for (int sx = 0; sx < 2; ++sx) {
+      for (int sy = 0; sy < 2; ++sy) {
         for (int b = 0; b <= ORDER; ++b) {
-          const Real wy = stag[1] ? dw[1].w_half[b] : dw[1].w_nodal[b];
-          const int j = (stag[1] ? dw[1].i_half : dw[1].i_nodal) + b;
           for (int a = 0; a <= ORDER; ++a) {
-            const Real wx = stag[0] ? dw[0].w_half[a] : dw[0].w_nodal[a];
-            const int i = (stag[0] ? dw[0].i_half : dw[0].i_nodal) + a;
-            acc += wx * wy * f(i, j, 0, comp);
-          }
-        }
-      } else {
-        for (int cc = 0; cc <= ORDER; ++cc) {
-          const Real wz = stag[2] ? dw[2].w_half[cc] : dw[2].w_nodal[cc];
-          const int k = (stag[2] ? dw[2].i_half : dw[2].i_nodal) + cc;
-          for (int b = 0; b <= ORDER; ++b) {
-            const Real wy = stag[1] ? dw[1].w_half[b] : dw[1].w_nodal[b];
-            const int j = (stag[1] ? dw[1].i_half : dw[1].i_nodal) + b;
-            for (int a = 0; a <= ORDER; ++a) {
-              const Real wx = stag[0] ? dw[0].w_half[a] : dw[0].w_nodal[a];
-              const int i = (stag[0] ? dw[0].i_half : dw[0].i_nodal) + a;
-              acc += wx * wy * wz * f(i, j, k, comp);
-            }
+            wxy[sx][sy][b][a] = sh[0].w[sx][a] * sh[1].w[sy][b];
           }
         }
       }
-      return acc;
-    };
-
-    for (int comp = 0; comp < 3; ++comp) {
-      out.E[comp][p] = interp(E, comp, fields::e_stag3[comp]);
-      out.B[comp][p] = interp(B, comp, fields::b_stag3[comp]);
     }
+
+    out.E[0][p] = interp<DIM, ORDER, e_stag3[0]>(E, 0, sh, wxy);
+    out.E[1][p] = interp<DIM, ORDER, e_stag3[1]>(E, 1, sh, wxy);
+    out.E[2][p] = interp<DIM, ORDER, e_stag3[2]>(E, 2, sh, wxy);
+    out.B[0][p] = interp<DIM, ORDER, b_stag3[0]>(B, 0, sh, wxy);
+    out.B[1][p] = interp<DIM, ORDER, b_stag3[1]>(B, 1, sh, wxy);
+    out.B[2][p] = interp<DIM, ORDER, b_stag3[2]>(B, 2, sh, wxy);
   });
 }
 
@@ -83,12 +84,9 @@ template <int DIM>
 void gather_fields(int order, const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom,
                    const Array4<const Real>& E, const Array4<const Real>& B,
                    GatheredFields& out) {
-  switch (order) {
-    case 1: gather_impl<DIM, 1>(tile, geom, E, B, out); break;
-    case 2: gather_impl<DIM, 2>(tile, geom, E, B, out); break;
-    case 3: gather_impl<DIM, 3>(tile, geom, E, B, out); break;
-    default: gather_impl<DIM, 3>(tile, geom, E, B, out); break;
-  }
+  with_shape_order(order, [&](auto o) {
+    gather_impl<DIM, decltype(o)::value>(tile, geom, E, B, out);
+  });
 }
 
 std::int64_t gather_flops_per_particle(int order, int dim) {

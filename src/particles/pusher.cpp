@@ -8,18 +8,21 @@ namespace mrpic::particles {
 
 using mrpic::constants::c;
 
-void boris_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
-                  const std::array<Real, 3>& B, Real charge, Real mass, Real dt) {
-  const Real qmdt2 = charge * dt / (2 * mass);
+namespace {
+
+// Boris rotation of u = (ux, uy, uz) in place by the fields (E, B), with
+// qmdt2 = q dt / (2 m).
+inline void boris_kick(Real qmdt2, Real& ux, Real& uy, Real& uz, Real Ex, Real Ey, Real Ez,
+                       Real Bx, Real By, Real Bz) {
   // Half electric acceleration.
-  Real ux = u[0] + qmdt2 * E[0];
-  Real uy = u[1] + qmdt2 * E[1];
-  Real uz = u[2] + qmdt2 * E[2];
+  ux += qmdt2 * Ex;
+  uy += qmdt2 * Ey;
+  uz += qmdt2 * Ez;
   // Magnetic rotation at the mid-step gamma.
   const Real gm = std::sqrt(1 + (ux * ux + uy * uy + uz * uz) / (c * c));
-  const Real tx = qmdt2 * B[0] / gm;
-  const Real ty = qmdt2 * B[1] / gm;
-  const Real tz = qmdt2 * B[2] / gm;
+  const Real tx = qmdt2 * Bx / gm;
+  const Real ty = qmdt2 * By / gm;
+  const Real tz = qmdt2 * Bz / gm;
   const Real t2 = tx * tx + ty * ty + tz * tz;
   const Real sx = 2 * tx / (1 + t2);
   const Real sy = 2 * ty / (1 + t2);
@@ -31,27 +34,24 @@ void boris_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
   uy += upz * sx - upx * sz;
   uz += upx * sy - upy * sx;
   // Second half electric acceleration.
-  u[0] = ux + qmdt2 * E[0];
-  u[1] = uy + qmdt2 * E[1];
-  u[2] = uz + qmdt2 * E[2];
+  ux += qmdt2 * Ex;
+  uy += qmdt2 * Ey;
+  uz += qmdt2 * Ez;
 }
-
-namespace {
 
 // Vay (2008) pusher: volume-preserving alternative that avoids the spurious
 // force of Boris for relativistic E x B drift. Provided as an option
 // (WarpX offers several pushers); Boris is the production default.
-void vay_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
-                const std::array<Real, 3>& B, Real charge, Real mass, Real dt) {
-  const Real qmdt2 = charge * dt / (2 * mass);
+inline void vay_kick(Real qmdt2, Real& ux, Real& uy, Real& uz, Real Ex, Real Ey, Real Ez,
+                     Real Bx, Real By, Real Bz) {
   const Real invc2 = Real(1) / (c * c);
   // u' = u^n + q dt/m (E + v^n x B / 2)
-  const Real g0 = std::sqrt(1 + (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) * invc2);
-  const Real vx = u[0] / g0, vy = u[1] / g0, vz = u[2] / g0;
-  const Real upx = u[0] + 2 * qmdt2 * E[0] + qmdt2 * (vy * B[2] - vz * B[1]);
-  const Real upy = u[1] + 2 * qmdt2 * E[1] + qmdt2 * (vz * B[0] - vx * B[2]);
-  const Real upz = u[2] + 2 * qmdt2 * E[2] + qmdt2 * (vx * B[1] - vy * B[0]);
-  const Real taux = qmdt2 * B[0], tauy = qmdt2 * B[1], tauz = qmdt2 * B[2];
+  const Real g0 = std::sqrt(1 + (ux * ux + uy * uy + uz * uz) * invc2);
+  const Real vx = ux / g0, vy = uy / g0, vz = uz / g0;
+  const Real upx = ux + 2 * qmdt2 * Ex + qmdt2 * (vy * Bz - vz * By);
+  const Real upy = uy + 2 * qmdt2 * Ey + qmdt2 * (vz * Bx - vx * Bz);
+  const Real upz = uz + 2 * qmdt2 * Ez + qmdt2 * (vx * By - vy * Bx);
+  const Real taux = qmdt2 * Bx, tauy = qmdt2 * By, tauz = qmdt2 * Bz;
   const Real tau2 = taux * taux + tauy * tauy + tauz * tauz;
   const Real ust = (upx * taux + upy * tauy + upz * tauz) * invc2 * c; // u*.tau/c
   const Real gp2 = 1 + (upx * upx + upy * upy + upz * upz) * invc2;
@@ -60,31 +60,46 @@ void vay_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
   const Real tx = taux / gnew, ty = tauy / gnew, tz = tauz / gnew;
   const Real s = Real(1) / (1 + tx * tx + ty * ty + tz * tz);
   const Real ut = upx * tx + upy * ty + upz * tz;
-  u[0] = s * (upx + ut * tx + upy * tz - upz * ty);
-  u[1] = s * (upy + ut * ty + upz * tx - upx * tz);
-  u[2] = s * (upz + ut * tz + upx * ty - upy * tx);
+  ux = s * (upx + ut * tx + upy * tz - upz * ty);
+  uy = s * (upy + ut * ty + upz * tx - upx * tz);
+  uz = s * (upz + ut * tz + upx * ty - upy * tx);
 }
 
-} // namespace
-
-template <int DIM>
-void push_particles(PusherKind kind, ParticleTile<DIM>& tile, const GatheredFields& f,
-                    Real charge, Real mass, Real dt) {
+template <PusherKind KIND, int DIM>
+void push_impl(ParticleTile<DIM>& tile, const GatheredFields& f, Real qmdt2, Real dt) {
   const std::size_t np = tile.size();
   mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
-    std::array<Real, 3> u = {tile.u[0][p], tile.u[1][p], tile.u[2][p]};
-    const std::array<Real, 3> E = {f.E[0][p], f.E[1][p], f.E[2][p]};
-    const std::array<Real, 3> B = {f.B[0][p], f.B[1][p], f.B[2][p]};
-    if (kind == PusherKind::Vay) {
-      vay_rotate(u, E, B, charge, mass, dt);
+    Real u[3] = {tile.u[0][p], tile.u[1][p], tile.u[2][p]};
+    if constexpr (KIND == PusherKind::Vay) {
+      vay_kick(qmdt2, u[0], u[1], u[2], f.E[0][p], f.E[1][p], f.E[2][p], f.B[0][p],
+               f.B[1][p], f.B[2][p]);
     } else {
-      boris_rotate(u, E, B, charge, mass, dt);
+      boris_kick(qmdt2, u[0], u[1], u[2], f.E[0][p], f.E[1][p], f.E[2][p], f.B[0][p],
+                 f.B[1][p], f.B[2][p]);
     }
     for (int cc = 0; cc < 3; ++cc) { tile.u[cc][p] = u[cc]; }
     const Real gamma = std::sqrt(1 + (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / (c * c));
     const Real invg = 1 / gamma;
     for (int d = 0; d < DIM; ++d) { tile.x[d][p] += u[d] * invg * dt; }
   });
+}
+
+} // namespace
+
+void boris_rotate(std::array<Real, 3>& u, const std::array<Real, 3>& E,
+                  const std::array<Real, 3>& B, Real charge, Real mass, Real dt) {
+  boris_kick(charge * dt / (2 * mass), u[0], u[1], u[2], E[0], E[1], E[2], B[0], B[1], B[2]);
+}
+
+template <int DIM>
+void push_particles(PusherKind kind, ParticleTile<DIM>& tile, const GatheredFields& f,
+                    Real charge, Real mass, Real dt) {
+  const Real qmdt2 = charge * dt / (2 * mass);
+  if (kind == PusherKind::Vay) {
+    push_impl<PusherKind::Vay>(tile, f, qmdt2, dt);
+  } else {
+    push_impl<PusherKind::Boris>(tile, f, qmdt2, dt);
+  }
 }
 
 std::int64_t push_flops_per_particle() {

@@ -10,6 +10,9 @@
 // weights apply to.
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "src/amr/config.hpp"
 
@@ -49,6 +52,43 @@ struct Shape {
     }
   }
 };
+
+// One dimension's shape at both Yee staggerings: index s = 0 holds the
+// weights and first index for a node-centred component, s = 1 for one
+// shifted by half a cell. Kernels pick w[s] and first[s] with the
+// component's staggering as a compile-time constant.
+template <int ORDER>
+struct StaggeredShape {
+  Real w[2][ORDER + 1];
+  int first[2];
+
+  void compute(Real xi) {
+    first[0] = Shape<ORDER>::compute(w[0], xi);
+    first[1] = Shape<ORDER>::compute(w[1], xi - Real(0.5));
+  }
+};
+
+// Throws std::invalid_argument unless `order` is a supported shape order.
+inline void require_shape_order(int order) {
+  if (order < 1 || order > 3) {
+    throw std::invalid_argument("shape order " + std::to_string(order) +
+                                " is not supported (1, 2 or 3)");
+  }
+}
+
+// Calls f(std::integral_constant<int, ORDER>{}) for the run-time `order`;
+// an unsupported order throws std::invalid_argument.
+template <typename F>
+void with_shape_order(int order, F&& f) {
+  require_shape_order(order);
+  if (order == 1) {
+    f(std::integral_constant<int, 1>{});
+  } else if (order == 2) {
+    f(std::integral_constant<int, 2>{});
+  } else {
+    f(std::integral_constant<int, 3>{});
+  }
+}
 
 // Number of FLOPs of one 1D shape evaluation (for the perf accounting).
 template <int ORDER>

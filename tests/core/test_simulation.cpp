@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/simulation.hpp"
 
@@ -189,6 +190,12 @@ TEST(Simulation, ProfilerRecordsStages) {
   EXPECT_EQ(flat.count("patch"), 0u);
   EXPECT_EQ(flat.count("psatd"), 0u);
   EXPECT_EQ(sim.profiler().stats("step/field_solve/fdtd").count, 9);
+  // particles sub-regions: one gather, push and deposit per tile and step
+  // (four 16x16 tiles, all loaded).
+  for (const char* kernel : {"gather", "push", "deposit"}) {
+    EXPECT_EQ(sim.profiler().stats(std::string("step/particles/") + kernel).count, 12)
+        << kernel;
+  }
 
   // An open domain adds the level-0 ring and an MR patch adds the patch,
   // each once per sub-step.
@@ -201,12 +208,19 @@ TEST(Simulation, ProfilerRecordsStages) {
   pcfg.region = mrpic::Box2(mrpic::IntVect2(8, 8), mrpic::IntVect2(15, 15));
   pcfg.pml.npml = 4;
   open_sim.enable_mr_patch(pcfg);
+  open_sim.add_species(particles::Species::electron(), inj);
   open_sim.init();
   open_sim.run(2);
   EXPECT_EQ(open_sim.profiler().stats("step/field_solve/pml").count, 6);
   EXPECT_EQ(open_sim.profiler().stats("step/field_solve/patch").count, 6);
   EXPECT_EQ(open_sim.profiler().stats("step/field_solve/fdtd").count, 6);
   EXPECT_EQ(open_sim.profiler().stats("step/field_solve/exchange").count, 8);
+  // The patch tile runs its kernels in the same sub-regions as the four
+  // level-0 tiles.
+  for (const char* kernel : {"gather", "push", "deposit"}) {
+    EXPECT_EQ(open_sim.profiler().stats(std::string("step/particles/") + kernel).count, 10)
+        << kernel;
+  }
 
   // The spectral path: one solve and one exchange per step.
   auto psatd_cfg = periodic_config();
@@ -219,6 +233,17 @@ TEST(Simulation, ProfilerRecordsStages) {
   EXPECT_EQ(pflat.at("psatd").count, 2);
   EXPECT_EQ(pflat.at("exchange").count, 2);
   EXPECT_EQ(pflat.count("fdtd"), 0u);
+}
+
+// The particle kernels exist for shape orders 1-3; any other order is
+// refused at init.
+TEST(Simulation, UnsupportedShapeOrderThrows) {
+  for (int order : {0, 4}) {
+    auto cfg = periodic_config();
+    cfg.shape_order = order;
+    Simulation<2> sim(cfg);
+    EXPECT_THROW(sim.init(), std::invalid_argument) << "order " << order;
+  }
 }
 
 // Spectral (PSATD) set-ups the solver cannot run are refused at init in every
