@@ -1,195 +1,263 @@
-// Sec. V.A.1 reproduction: the single-node kernel-optimization experiment.
-// The paper reports, on one A64FX node (order-3 shapes, single precision):
+// Sec. V.A.1 reproduction: the paper's single-node kernel experiment, timed
+// on the production particle kernels. The paper reports, on one A64FX node
+// (order-3 shapes, single precision):
 //
 //     Routine      Reference (s)   Optimized (s)   Speed up
 //     Gather           270.6          102.7          2.63x
 //     Deposition       246.2           53.51         4.60x
 //
-// Here the same two kernel structures are timed on the host CPU: the
-// baseline processes particles one at a time in arrival order, recomputing
-// shape weights per component; the optimized kernels require cell-sorted
-// particles and process runs with transposed per-run weight arrays,
-// vectorizing over particles with ijk fixed and touching each stencil value
-// once per run. The *shape* of the result (optimized wins; deposition gains
-// more than gather because its per-particle scatters collapse into one
-// store per tap per run) carries over to this host; the paper's 2.63x/4.60x
-// magnitudes are A64FX-specific — there the Fujitsu compiler leaves the
-// baseline nearly scalar (SIMD rate 2.3%, Sec. VI.B) while x86 GCC already
-// auto-vectorizes it, so the gap here is smaller and dominated by the
-// memory-locality part of the optimization.
+// Its optimization works on cell-sorted particles ("grid tiling and particle
+// sorting are used to improve data locality"). Here the step's own
+// particles::gather_fields and particles::deposit_current (order 3,
+// Esirkepov, double precision) run on the same particles twice: in arrival
+// order, with uniform random positions (the "reference" column), and after
+// particles::sort_tile_by_cell (the "optimized" column). The speedup is the
+// measured locality payoff of the sort; the sort's own cost per particle is
+// printed beside it. The paper's grouped, transposed SIMD kernels are not
+// reproduced, and the paper ran in single precision where this runs in
+// double.
 //
-// Also runs the N_grp group-size ablation (paper: powers of two, 32-128)
-// and the SP vs DP comparison behind Table III's MP mode, as
-// google-benchmark timings, followed by the summary table.
+// Two tiles: the paper's 3D tile (64^3 cells, 12 ppc) and one lwfa_mr box
+// (2D, 150x50 cells, 2 ppc). Each kernel's time is the minimum over a few
+// timing passes, each pass long enough to read on a wall clock.
+//
+// Self-check: every particle's x_old is x - v*dt from its own x and u, so
+// both orders deposit the same currents. Per gathered component, the two
+// orders' values, each sorted, must match element by element, and the two
+// J fields must agree to <= 1e-12 of max|J|; otherwise the bench exits 1.
+//
+// Run: ./bench_kernels [--json] [--quick] [--outdir DIR]
+//   --json   also write BENCH_kernels.json (into --outdir, default out/)
+//   --quick  shrink the 3D tile to 16^3 x 2 ppc (bench_smoke)
 
-// With --json (positioned anywhere in argv), the google-benchmark sweep is
-// skipped and the single-pass summary timings are written to
-// BENCH_kernels.json (in --outdir, default out/) for machine consumption.
-// --quick shrinks the problem to 16^3 x 2 ppc for smoke-test runs
-// (bench/bench_smoke.sh) where only the JSON schema matters, not the
-// timings.
-
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "src/amr/multifab.hpp"
 #include "src/diag/output_dir.hpp"
 #include "src/diag/stopwatch.hpp"
-#include "src/kernels/optimized_kernels.hpp"
-#include "src/kernels/reference_kernels.hpp"
 #include "src/obs/json.hpp"
+#include "src/particles/deposition.hpp"
+#include "src/particles/gather.hpp"
+#include "src/particles/sorting.hpp"
 
-using namespace mrpic::kernels;
+using namespace mrpic;
 
 namespace {
 
-int grid_n = 64;
-int ppc = 12;
+constexpr int kOrder = 3;
+constexpr Real kCell = 1e-7;          // cell size [m]; the timings are scale-free
+constexpr double kJTolerance = 1e-12; // of max|J|
+// Each timing pass covers at least this many particles: one call on the 3D
+// tile, ~15 ms of back-to-back calls on the small ones.
+constexpr std::int64_t kParticlesPerPass = 200000;
+// Timing passes: a one-call pass of the large tile takes seconds, while the
+// small tiles' short passes need more tries to ride out host noise.
+constexpr int kPassesLarge = 3;
+constexpr int kPassesSmall = 7;
 
-template <typename T>
-struct Setup {
-  KernelFields<T> fields;
-  KernelParticles<T> particles;
-  explicit Setup(bool sorted = true) {
-    fields.resize(grid_n, 4);
-    fields.randomize_eb(1234, T(1e9));
-    particles.init_uniform(grid_n, ppc, 999, static_cast<T>(1e7));
-    if (!sorted) { particles.shuffle(77); }
-  }
+struct TileResult {
+  std::string tile;
+  int dim = 0;
+  std::string cells;
+  int ppc = 0;
+  std::int64_t particles = 0;
+  double gather_arrival_s = 0, gather_sorted_s = 0;   // per call
+  double deposit_arrival_s = 0, deposit_sorted_s = 0; // per call
+  double sort_s = 0;                                  // one sort of the tile
+  double j_rel_diff = 0;  // max|J_sorted - J_arrival| / max|J_arrival|
+  bool gather_match = false;
+  bool ok() const { return gather_match && j_rel_diff <= kJTolerance; }
 };
 
-template <typename T>
-void BM_GatherReference(benchmark::State& state) {
-  Setup<T> s(/*sorted=*/state.range(0) != 0);
-  for (auto _ : state) {
-    gather_reference(s.particles, s.fields);
-    benchmark::DoNotOptimize(s.particles.exp_.data());
+// Minimum over `passes` of the seconds per call of `reps` back-to-back calls.
+template <typename F>
+double min_seconds_per_call(int passes, std::int64_t reps, F&& call) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < passes; ++pass) {
+    diag::Stopwatch sw;
+    for (std::int64_t r = 0; r < reps; ++r) { call(); }
+    best = std::min(best, sw.seconds() / static_cast<double>(reps));
   }
-  state.SetItemsProcessed(state.iterations() * s.particles.size());
+  return best;
 }
 
-template <typename T>
-void BM_GatherOptimized(benchmark::State& state) {
-  Setup<T> s;
-  const int ngrp = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    gather_optimized(s.particles, s.fields, ngrp);
-    benchmark::DoNotOptimize(s.particles.exp_.data());
+// x_old = x - v*dt for every particle, from its own x and u.
+template <int DIM>
+void old_positions(const particles::ParticleTile<DIM>& tile, Real dt,
+                   std::array<std::vector<Real>, DIM>& x_old) {
+  for (int d = 0; d < DIM; ++d) { x_old[d].resize(tile.size()); }
+  for (std::size_t p = 0; p < tile.size(); ++p) {
+    const Real ux = tile.u[0][p], uy = tile.u[1][p], uz = tile.u[2][p];
+    const Real gamma =
+        std::sqrt(1 + (ux * ux + uy * uy + uz * uz) / (constants::c * constants::c));
+    for (int d = 0; d < DIM; ++d) { x_old[d][p] = tile.x[d][p] - tile.u[d][p] / gamma * dt; }
   }
-  state.SetItemsProcessed(state.iterations() * s.particles.size());
 }
 
-template <typename T>
-void BM_DepositReference(benchmark::State& state) {
-  Setup<T> s(/*sorted=*/state.range(0) != 0);
-  for (auto _ : state) {
-    s.fields.zero_j();
-    deposit_reference(s.particles, s.fields, T(1e-19));
-    benchmark::DoNotOptimize(s.fields.jx.ptr());
+// Each gathered component's values in ascending order (the order-free
+// fingerprint both particle orders must share).
+std::array<std::vector<Real>, 6> sorted_values(const particles::GatheredFields& g) {
+  std::array<std::vector<Real>, 6> out;
+  for (int c = 0; c < 3; ++c) {
+    out[c] = g.E[c];
+    out[3 + c] = g.B[c];
   }
-  state.SetItemsProcessed(state.iterations() * s.particles.size());
+  for (auto& v : out) { std::sort(v.begin(), v.end()); }
+  return out;
 }
 
-template <typename T>
-void BM_DepositOptimized(benchmark::State& state) {
-  Setup<T> s;
-  const int ngrp = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    s.fields.zero_j();
-    deposit_optimized(s.particles, s.fields, T(1e-19), ngrp);
-    benchmark::DoNotOptimize(s.fields.jx.ptr());
+template <int DIM>
+TileResult run_tile(const std::string& name, const IntVect<DIM>& n, int ppc) {
+  const Box<DIM> domain = Box<DIM>::from_extent(n);
+  RealVect<DIM> hi;
+  for (int d = 0; d < DIM; ++d) { hi[d] = n[d] * kCell; }
+  const Geometry<DIM> geom(domain, RealVect<DIM>(Real(0)), hi);
+  const BoxArray<DIM> ba(domain);
+  MultiFab<DIM> E(ba, 3, default_num_ghost), B(ba, 3, default_num_ghost),
+      J(ba, 3, default_num_ghost);
+
+  std::mt19937_64 rng(1234);
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  std::normal_distribution<double> thermal(0.0, 0.1 * constants::c);
+  for (MultiFab<DIM>* f : {&E, &B}) {
+    const double amp = f == &E ? 1e9 : 1.0;
+    Real* data = f->fab(0).data();
+    for (std::size_t i = 0; i < f->fab(0).size(); ++i) { data[i] = amp * (2 * uni(rng) - 1); }
   }
-  state.SetItemsProcessed(state.iterations() * s.particles.size());
+
+  // Arrival order: uniform random positions, thermal momenta.
+  particles::ParticleTile<DIM> tile;
+  const std::int64_t np = domain.num_cells() * ppc;
+  tile.reserve(static_cast<std::size_t>(np));
+  for (std::int64_t p = 0; p < np; ++p) {
+    std::array<Real, DIM> x;
+    for (int d = 0; d < DIM; ++d) { x[d] = uni(rng) * hi[d]; }
+    tile.push_back(x, {thermal(rng), thermal(rng), thermal(rng)}, Real(1e10));
+  }
+  const Real dt = Real(0.5) * kCell / constants::c;
+  const Real q = -constants::q_e;
+  const std::int64_t reps = std::max<std::int64_t>(1, kParticlesPerPass / np);
+  const int passes = reps > 1 ? kPassesSmall : kPassesLarge;
+
+  std::array<std::vector<Real>, DIM> x_old;
+  particles::GatheredFields gathered;
+  const auto gather = [&] {
+    particles::gather_fields<DIM>(kOrder, tile, geom, E.const_array(0), B.const_array(0),
+                                  gathered);
+  };
+  const auto deposit = [&] {
+    particles::deposit_current<DIM>(particles::DepositionKind::Esirkepov, kOrder, tile,
+                                    x_old, geom, J.array(0), q, dt);
+  };
+  // One checked launch of each kernel on zeroed J, then the timed passes.
+  const auto run_order = [&](double& gather_s, double& deposit_s) {
+    old_positions<DIM>(tile, dt, x_old);
+    gather();
+    J.set_val(0);
+    deposit();
+    std::vector<Real> j(J.fab(0).data(), J.fab(0).data() + J.fab(0).size());
+    gather_s = min_seconds_per_call(passes, reps, gather);
+    deposit_s = min_seconds_per_call(passes, reps, deposit);
+    return j;
+  };
+
+  TileResult r;
+  r.tile = name;
+  r.dim = DIM;
+  r.cells = std::to_string(n[0]);
+  for (int d = 1; d < DIM; ++d) { r.cells += "x" + std::to_string(n[d]); }
+  r.ppc = ppc;
+  r.particles = np;
+
+  const auto j_arrival = run_order(r.gather_arrival_s, r.deposit_arrival_s);
+  const auto g_arrival = sorted_values(gathered);
+
+  // The sort's cost: the fastest sort of `passes` arrival-order copies.
+  r.sort_s = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < passes; ++pass) {
+    auto sorted = tile;
+    diag::Stopwatch sw;
+    particles::sort_tile_by_cell(sorted, geom, domain);
+    r.sort_s = std::min(r.sort_s, sw.seconds());
+    if (pass + 1 == passes) { tile = std::move(sorted); }
+  }
+
+  const auto j_sorted = run_order(r.gather_sorted_s, r.deposit_sorted_s);
+  r.gather_match = sorted_values(gathered) == g_arrival;
+  double jmax = 0, jdiff = 0;
+  for (std::size_t i = 0; i < j_arrival.size(); ++i) {
+    jmax = std::max(jmax, std::abs(double(j_arrival[i])));
+    jdiff = std::max(jdiff, std::abs(double(j_sorted[i] - j_arrival[i])));
+  }
+  r.j_rel_diff = jmax > 0 ? jdiff / jmax : (jdiff > 0 ? 1.0 : 0.0);
+  return r;
 }
 
-// Arg on the reference kernels: 0 = unsorted (arrival order), 1 = sorted.
-BENCHMARK(BM_GatherReference<float>)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GatherOptimized<float>)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DepositReference<float>)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DepositOptimized<float>)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GatherReference<double>)->Arg(0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GatherOptimized<double>)->Arg(64)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DepositReference<double>)->Arg(0)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DepositOptimized<double>)->Arg(64)->Unit(benchmark::kMillisecond);
-
-// Summary timings in the paper's format (single timing pass, SP). The
-// reference runs on arrival-order (unsorted) particles; the optimized path
-// on sorted ones, as in the paper's locality strategy.
-struct SummaryTimings {
-  double gather_ref_s, gather_opt_s, deposit_ref_s, deposit_opt_s;
-};
-
-SummaryTimings run_summary() {
-  Setup<float> su(/*sorted=*/false);
-  Setup<float> ss(/*sorted=*/true);
-  const int reps = 6;
-  SummaryTimings t{};
-  mrpic::diag::Stopwatch sw;
-  for (int r = 0; r < reps; ++r) { gather_reference(su.particles, su.fields); }
-  t.gather_ref_s = sw.seconds();
-  sw.restart();
-  for (int r = 0; r < reps; ++r) { gather_optimized(ss.particles, ss.fields); }
-  t.gather_opt_s = sw.seconds();
-  sw.restart();
-  for (int r = 0; r < reps; ++r) {
-    su.fields.zero_j();
-    deposit_reference(su.particles, su.fields, 1e-19f);
-  }
-  t.deposit_ref_s = sw.seconds();
-  sw.restart();
-  for (int r = 0; r < reps; ++r) {
-    ss.fields.zero_j();
-    deposit_optimized(ss.particles, ss.fields, 1e-19f);
-  }
-  t.deposit_opt_s = sw.seconds();
-  return t;
-}
-
-void print_summary_table(const SummaryTimings& t) {
-  const double t_gather_ref = t.gather_ref_s, t_gather_opt = t.gather_opt_s;
-  const double t_dep_ref = t.deposit_ref_s, t_dep_opt = t.deposit_opt_s;
-  std::printf("\nSec. V.A.1 summary (this host, SP, order 3, %d^3 cells x %d ppc;\n",
-              grid_n, ppc);
-  std::printf("reference = per-particle on unsorted particles, optimized = grouped on\n");
-  std::printf("sorted particles):\n");
-  std::printf("  %-11s %14s %14s %9s %17s\n", "Routine", "Reference (s)", "Optimized (s)",
+void print_tile(const TileResult& r) {
+  std::printf("\n%s: %dD, %s cells x %d ppc, %lld particles; sort %.1f ns/particle\n",
+              r.tile.c_str(), r.dim, r.cells.c_str(), r.ppc,
+              static_cast<long long>(r.particles), 1e9 * r.sort_s / double(r.particles));
+  std::printf("  %-11s %14s %14s %9s %15s\n", "Routine", "Arrival (s)", "Sorted (s)",
               "Speed up", "paper (A64FX)");
-  std::printf("  %-11s %14.4f %14.4f %8.2fx %17s\n", "Gather", t_gather_ref, t_gather_opt,
-              t_gather_ref / t_gather_opt, "2.63x");
-  std::printf("  %-11s %14.4f %14.4f %8.2fx %17s\n", "Deposition", t_dep_ref, t_dep_opt,
-              t_dep_ref / t_dep_opt, "4.60x");
-  std::printf("(x86 note: GCC auto-vectorizes the baseline, unlike the A64FX Fujitsu\n");
-  std::printf("compiler baseline with 2.3%% SIMD rate, so the host gap is smaller)\n");
+  const bool paper = r.dim == 3;
+  std::printf("  %-11s %14.6f %14.6f %8.2fx %15s\n", "Gather", r.gather_arrival_s,
+              r.gather_sorted_s, r.gather_arrival_s / r.gather_sorted_s,
+              paper ? "2.63x" : "-");
+  std::printf("  %-11s %14.6f %14.6f %8.2fx %15s\n", "Deposition", r.deposit_arrival_s,
+              r.deposit_sorted_s, r.deposit_arrival_s / r.deposit_sorted_s,
+              paper ? "4.60x" : "-");
+  std::printf("  self-check: gathered values %s, max|dJ|/max|J| = %.2e (limit %.0e) -> %s\n",
+              r.gather_match ? "match" : "DIFFER", r.j_rel_diff, kJTolerance,
+              r.ok() ? "ok" : "FAIL");
 }
 
-void write_json(const SummaryTimings& t, const std::string& path) {
+void write_json(const std::vector<TileResult>& tiles, const std::string& path) {
   std::ofstream os(path);
-  mrpic::obs::json::Writer w(os);
+  obs::json::Writer w(os);
   w.begin_object();
   w.field("bench", "kernels");
-  w.field("grid_n", grid_n);
-  w.field("ppc", ppc);
-  w.field("precision", "sp");
-  w.field("shape_order", 3);
+  w.field("precision", "dp");
+  w.field("shape_order", kOrder);
+  w.field("reference", "arrival order");
+  w.field("optimized", "cell-sorted");
   w.begin_array("routines");
-  w.begin_object()
-      .field("routine", "gather")
-      .field("reference_s", t.gather_ref_s)
-      .field("optimized_s", t.gather_opt_s)
-      .field("speedup", t.gather_ref_s / t.gather_opt_s)
-      .field("paper_a64fx_speedup", 2.63)
-      .end_object();
-  w.begin_object()
-      .field("routine", "deposition")
-      .field("reference_s", t.deposit_ref_s)
-      .field("optimized_s", t.deposit_opt_s)
-      .field("speedup", t.deposit_ref_s / t.deposit_opt_s)
-      .field("paper_a64fx_speedup", 4.60)
-      .end_object();
+  for (const auto& t : tiles) {
+    const auto row = [&](const char* routine, double arrival_s, double sorted_s,
+                         double paper) {
+      w.begin_object()
+          .field("routine", routine)
+          .field("tile", t.tile)
+          .field("reference_s", arrival_s)
+          .field("optimized_s", sorted_s)
+          .field("speedup", arrival_s / sorted_s);
+      if (t.dim == 3) { w.field("paper_a64fx_speedup", paper); }
+      w.end_object();
+    };
+    row("gather", t.gather_arrival_s, t.gather_sorted_s, 2.63);
+    row("deposition", t.deposit_arrival_s, t.deposit_sorted_s, 4.60);
+  }
+  w.end_array();
+  w.begin_array("tiles");
+  for (const auto& t : tiles) {
+    w.begin_object()
+        .field("tile", t.tile)
+        .field("dim", t.dim)
+        .field("cells", t.cells)
+        .field("ppc", t.ppc)
+        .field("particles", t.particles)
+        .field("sort_ns_per_particle", 1e9 * t.sort_s / double(t.particles))
+        .field("j_rel_diff", t.j_rel_diff)
+        .field("gather_match", t.gather_match)
+        .end_object();
+  }
   w.end_array();
   w.end_object();
   os << '\n';
@@ -199,32 +267,34 @@ void write_json(const SummaryTimings& t, const std::string& path) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const auto outdir = mrpic::diag::OutputDir::from_args(argc, argv);
-  // Strip our --json/--quick flags before google-benchmark sees (and
-  // rejects) them.
+  const auto outdir = diag::OutputDir::from_args(argc, argv);
   bool json_out = false;
-  int out = 1;
+  bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json_out = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
-      grid_n = 16;
-      ppc = 2;
+      quick = true;
     } else {
-      argv[out++] = argv[i];
+      std::fprintf(stderr, "usage: %s [--json] [--quick] [--outdir DIR]\n", argv[0]);
+      return 2;
     }
   }
-  argc = out;
 
-  if (!json_out) {
-    // The statistical sweep is for humans at a terminal; --json runs only
-    // the single-pass summary below.
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+  std::printf("Sec. V.A.1 on the production kernels: order %d, Esirkepov, double precision;\n"
+              "arrival order (uniform random positions) vs after sort_tile_by_cell\n",
+              kOrder);
+  const int n3 = quick ? 16 : 64;
+  const std::vector<TileResult> tiles = {
+      run_tile<3>("3d_tile", IntVect<3>(n3), quick ? 2 : 12),
+      run_tile<2>("lwfa_mr_box", IntVect<2>(150, 50), 2),
+  };
+  bool ok = true;
+  for (const auto& t : tiles) {
+    print_tile(t);
+    ok = ok && t.ok();
   }
-  const SummaryTimings t = run_summary();
-  print_summary_table(t);
-  if (json_out) { write_json(t, outdir.path("BENCH_kernels.json")); }
-  return 0;
+  if (json_out) { write_json(tiles, outdir.path("BENCH_kernels.json")); }
+  if (!ok) { std::fprintf(stderr, "bench_kernels: FAIL: the two orders disagree\n"); }
+  return ok ? 0 : 1;
 }

@@ -1,18 +1,16 @@
 // Observer overhead on the paper's design workload: builds lwfa_mr from the
 // scenario registry with every observer on, through the one set-up behind
-// `mrpic_run --scenario lwfa_mr --health --insitu --memory --kernel-obs`
+// `mrpic_run --scenario lwfa_mr --health --insitu --memory`
 // (scenario::build_observed_simulation), runs it and prices each observer at
 // its registered cadence against the step it rides on:
 //
 //  - health, insitu, memory, cluster observation: their profiler regions;
-//  - kernel probe: its "kernel_obs" region plus the bookkeeping it does
-//    inside the particle loop (KernelProbe::self_time_s);
 //  - telemetry: the run-telemetry trio (manifest, heartbeat every 5 steps,
 //    event log), timed directly around its calls.
 //
-// Exits 1 when memory, the kernel probe, cluster observation, insitu or
-// telemetry takes more than 1% of step time. Health is printed, not gated:
-// its registered cadence (ledger and NaN scan every step) is over budget.
+// Exits 1 when memory, cluster observation, insitu or telemetry takes more
+// than 1% of step time. Health is printed, not gated: its registered
+// cadence (ledger and NaN scan every step) is over budget.
 // The telemetry path is a few dozen small file operations, so one slow
 // filesystem call under unrelated load can swamp it: each observer keeps
 // its smallest share over up to three runs. The runs stop at the first one
@@ -56,13 +54,13 @@ struct ObserverRow {
 };
 
 // One observed run; rows in the fixed order health, telemetry, insitu,
-// cluster_obs, kernel_obs, memory.
+// cluster_obs, memory.
 std::vector<ObserverRow> run_once(const diag::OutputDir& out) {
   const scenario::ScenarioSpec spec = scenario::ScenarioRegistry::instance().make(kScenario);
   scenario::RunOptions opt;
   opt.scenario = kScenario;
   opt.steps = kSteps;
-  opt.health = opt.insitu = opt.memory = opt.kernel_obs = true;
+  opt.health = opt.insitu = opt.memory = true;
 
   using clock = std::chrono::steady_clock;
   double telemetry_s = 0;
@@ -91,7 +89,6 @@ std::vector<ObserverRow> run_once(const diag::OutputDir& out) {
       {"telemetry", true, telemetry_s},
       {"insitu", true, region_s("insitu")},
       {"cluster_obs", true, region_s("cluster_obs")},
-      {"kernel_obs", true, region_s("kernel_obs") + sim->kernel_probe()->self_time_s()},
       {"memory", true, region_s("memory")},
   };
   for (auto& r : rows) { r.step_s = region_s("step"); }

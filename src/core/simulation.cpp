@@ -60,11 +60,6 @@ void Simulation<DIM>::enable_memory_obs(MemoryObsConfig cfg) {
 }
 
 template <int DIM>
-void Simulation<DIM>::enable_kernel_obs(obs::KernelObsConfig cfg) {
-  m_kernel_probe = std::make_unique<obs::KernelProbe>(std::move(cfg));
-}
-
-template <int DIM>
 obs::MrSavingsInputs Simulation<DIM>::mr_savings_inputs() const {
   obs::MrSavingsInputs in;
   in.dim = DIM;

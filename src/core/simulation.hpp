@@ -25,7 +25,6 @@
 #include "src/insitu/reductions.hpp"
 #include "src/insitu/registry.hpp"
 #include "src/dist/load_balancer.hpp"
-#include "src/obs/kernel_probe.hpp"
 #include "src/obs/memory.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/profiler.hpp"
@@ -220,19 +219,6 @@ public:
     return m_last_rank_resident;
   }
 
-  // --- kernel-grain observability -----------------------------------------
-  // Per-invocation probing of the PIC cycle's hot kernels (gather/push/
-  // deposit) at tile/species granularity on sampled steps: wall time,
-  // particles, modeled bytes, roofline placement (obs::KernelProbe), plus
-  // sampled cell-key locality metrics that predict the cell-binned sort's
-  // payoff. Aggregates publish as kernel_* gauges inside a "kernel_obs"
-  // profiler region; off-cadence steps pay one branch per kernel call.
-  // Callable before or after init().
-  void enable_kernel_obs(obs::KernelObsConfig cfg = {});
-  bool kernel_obs_enabled() const { return m_kernel_probe != nullptr; }
-  obs::KernelProbe* kernel_probe() { return m_kernel_probe.get(); }
-  const obs::KernelProbe* kernel_probe() const { return m_kernel_probe.get(); }
-
   // --- simulation health --------------------------------------------------
   // In-situ invariant ledger + NaN/stability watchdog (src/health). At the
   // configured cadences each step assembles a LedgerSample (energies, charge,
@@ -340,8 +326,6 @@ private:
   // Memory probe (pic_step.ipp): refresh particle accounts, model per-rank
   // resident bytes, publish mem_* gauges.
   void observe_memory(std::int64_t step);
-  // Kernel probe publication (pic_step.ipp): kernel_* gauges on due steps.
-  void observe_kernels(std::int64_t step);
   void refresh_particle_mem_accounts();
   std::vector<std::int64_t> model_rank_resident_bytes() const;
   void register_insitu_diagnostics();
@@ -392,7 +376,6 @@ private:
   std::unique_ptr<HealthScratch> m_hscratch;
   bool m_memory_enabled = false;                   // set by enable_memory_obs()
   MemoryObsConfig m_memory_cfg;
-  std::unique_ptr<obs::KernelProbe> m_kernel_probe; // set by enable_kernel_obs()
   // Per-species ledger accounts ("particles.<name>.level0" / ".patch"),
   // refreshed from live tile sizes on memory-probe steps.
   struct SpeciesMem {

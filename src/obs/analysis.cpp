@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 
 #include "src/dist/imbalance.hpp"
+#include "src/particles/deposition.hpp"
+#include "src/particles/gather.hpp"
+#include "src/particles/pusher.hpp"
 
 namespace mrpic::obs::analysis {
 
@@ -301,6 +305,46 @@ KernelRoofline roofline_point(const std::string& kernel, double flops, double by
     p.attainment = p.roof_tflops > 0 ? p.attained_tflops / p.roof_tflops : 0;
   }
   return p;
+}
+
+const char* kernel_kind_name(KernelKind k) {
+  switch (k) {
+    case KernelKind::Gather: return "gather";
+    case KernelKind::Push: return "push";
+    case KernelKind::Deposit: return "deposit";
+  }
+  return "unknown";
+}
+
+double kernel_flops_per_particle(KernelKind k, int shape_order, int dim) {
+  switch (k) {
+    case KernelKind::Gather:
+      return static_cast<double>(particles::gather_flops_per_particle(shape_order, dim));
+    case KernelKind::Push:
+      return static_cast<double>(particles::push_flops_per_particle());
+    case KernelKind::Deposit:
+      return static_cast<double>(particles::deposit_flops_per_particle(shape_order, dim));
+  }
+  return 0;
+}
+
+double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim) {
+  const double real_b = static_cast<double>(sizeof(Real));
+  const double stencil_points = std::pow(static_cast<double>(shape_order + 1), dim);
+  const double esirkepov_points = std::pow(static_cast<double>(shape_order + 2), dim);
+  switch (k) {
+    case KernelKind::Gather:
+      // read x, stream 6 field components over the stencil, write 6 gathered.
+      return real_b * dim + 6 * real_b * stencil_points + 6 * real_b;
+    case KernelKind::Push:
+      // read 6 gathered, read+write u (3), read+write x (dim).
+      return 6 * real_b + 2 * 3 * real_b + 2 * real_b * dim;
+    case KernelKind::Deposit:
+      // read x_old + x_new, read w, RMW 3 current components over the
+      // Esirkepov support.
+      return 2 * real_b * dim + real_b + 6 * real_b * esirkepov_points;
+  }
+  return 0;
 }
 
 std::vector<KernelRoofline> roofline(const perf::FlopCounter& fc,

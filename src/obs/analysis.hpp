@@ -190,6 +190,29 @@ struct KernelRoofline {
 KernelRoofline roofline_point(const std::string& kernel, double flops, double bytes,
                               const perf::Machine& m, double time_s = 0);
 
+// The particle pass's three kernels, in step order; kernel_kind_name is the
+// name of each one's profiler sub-region of "particles".
+enum class KernelKind { Gather = 0, Push = 1, Deposit = 2 };
+inline constexpr int kNumKernelKinds = 3;
+
+const char* kernel_kind_name(KernelKind k);
+
+// Analytic flops per particle (wraps the particles:: kernel counts).
+double kernel_flops_per_particle(KernelKind k, int shape_order, int dim);
+
+// Analytic cold-cache bytes per particle (Real = 8 B; P = (order+1)^dim
+// stencil points, Q = (order+2)^dim Esirkepov support):
+//   gather:  read x (8*dim), stream 6 field components over P stencil cells
+//            (48*P), write 6 gathered values (48)        -> 8*dim + 48*P + 48
+//   push:    read 6 gathered (48), read+write u (2*24), read+write x
+//            (2*8*dim)                                    -> 96 + 16*dim
+//   deposit: read x_old + x_new (16*dim), read w (8), read-modify-write 3
+//            current components over Q cells (48*Q)       -> 16*dim + 8 + 48*Q
+// Deliberately a per-particle closed form, distinct from the calibrated
+// per-step aggregate in pic_kernel_bytes, so a kernel's intensity is exact
+// and the gap between modeled and achieved bandwidth is the cache headroom.
+double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim);
+
 // Place every kernel of a FlopCounter against `m`. `kernel_bytes` supplies
 // the traffic metadata (kernels absent from the map are placed with the
 // machine's ridge-point intensity so they still appear, flagged by

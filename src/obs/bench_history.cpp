@@ -13,9 +13,9 @@ namespace {
 // of these. Deliberately excludes raw second/byte columns that vary per
 // host; the point of the ledger is trend-stable model numbers and verdicts.
 const char* const kMetricSuffixes[] = {
-    "efficiency",      "speedup",    "overhead_frac", "savings_factor",
-    "overlap_headroom_s", "intensity", "attainment",   "makespan_s",
-    "loss",            "inversion_fraction", "line_reuse", "total_bytes",
+    "efficiency", "speedup",    "overhead_frac", "savings_factor",
+    "overlap_headroom_s", "intensity", "attainment", "makespan_s",
+    "loss",       "total_bytes",
 };
 
 bool ends_with(const std::string& s, const std::string& suffix) {

@@ -205,39 +205,38 @@ MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
   return m;
 }
 
-KernelSection summarize_kernels(const KernelProbe& probe, const Profiler& prof,
+KernelSection summarize_kernels(const Profiler& prof, std::int64_t particles_pushed,
+                                int shape_order, int dim, const perf::Machine& machine,
                                 const RankRecorder* rec) {
   KernelSection k;
   k.enabled = true;
-  k.machine = probe.machine().name;
-  k.dropped_invocations = probe.dropped_invocations();
+  k.machine = machine.name;
 
-  const auto aggs = probe.aggregates();
-  for (int i = 0; i < kNumKernelKinds; ++i) {
-    const auto& agg = aggs[std::size_t(i)];
-    k.sampled_invocations += agg.invocations;
-    if (agg.invocations == 0) { continue; }
+  const auto totals = prof.flat_totals();
+  for (int i = 0; i < analysis::kNumKernelKinds; ++i) {
+    const auto kind = static_cast<analysis::KernelKind>(i);
+    const auto it = totals.find(analysis::kernel_kind_name(kind));
+    if (it == totals.end() || it->second.count == 0) { continue; }
+    const double np = static_cast<double>(particles_pushed);
+    const double time_s = it->second.inclusive_s;
     const auto rp = analysis::roofline_point(
-        kernel_kind_name(static_cast<KernelKind>(i)), agg.flops, agg.bytes,
-        probe.machine(), agg.time_s);
+        it->first, np * analysis::kernel_flops_per_particle(kind, shape_order, dim),
+        np * analysis::kernel_bytes_per_particle(kind, shape_order, dim), machine, time_s);
     KernelSection::KernelRow row;
     row.kernel = rp.kernel;
-    row.invocations = agg.invocations;
-    row.particles = agg.particles;
-    row.time_s = agg.time_s;
-    row.flops = agg.flops;
-    row.bytes = agg.bytes;
+    row.invocations = it->second.count;
+    row.particles = particles_pushed;
+    row.time_s = time_s;
+    row.flops = rp.flops;
+    row.bytes = rp.bytes;
     row.intensity = rp.intensity;
-    row.gbyte_s = agg.gbyte_s();
+    row.gbyte_s = time_s > 0 ? rp.bytes / time_s / 1e9 : 0;
     row.roof_tflops = rp.roof_tflops;
     row.attained_tflops = rp.attained_tflops;
     row.attainment = rp.attainment;
     row.memory_bound = rp.memory_bound;
     k.kernels.push_back(std::move(row));
   }
-
-  k.locality = probe.locality();
-  k.locality_tiles = probe.locality_tiles();
 
   // Overlap headroom: mean per-step phase split of the step-critical rank
   // over the recorder steps that carry phase data.
@@ -264,15 +263,6 @@ KernelSection summarize_kernels(const KernelProbe& probe, const Profiler& prof,
     }
   }
 
-  k.probe_s = probe.self_time_s();
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("kernel_obs"); it != totals.end()) {
-    k.probe_s += it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    k.step_s = it->second.inclusive_s;
-  }
-  k.probe_overhead = k.step_s > 0 ? k.probe_s / k.step_s : 0;
   return k;
 }
 
@@ -471,12 +461,8 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
     os << "## Kernel headroom";
     if (!k.machine.empty()) { os << " (" << k.machine << ")"; }
     os << "\n\n";
-    os << k.sampled_invocations << " sampled kernel invocations";
-    if (k.dropped_invocations > 0) {
-      os << " (" << k.dropped_invocations << " dropped at capacity)";
-    }
-    os << ". Probe cost " << fmt3(k.probe_s) << " s of " << fmt3(k.step_s)
-       << " s stepped (" << fmt_pct(k.probe_overhead) << " overhead).\n\n";
+    os << "Profiler totals of the particle kernels over every step, on the "
+          "analytic cold-cache byte model.\n\n";
     if (!k.kernels.empty()) {
       os << "| kernel | invocations | particles | time | GB/s | intensity | "
             "roof TFlop/s | bound | attainment |\n"
@@ -489,16 +475,6 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
            << (r.time_s > 0 ? fmt_pct(r.attainment) : std::string("-")) << " |\n";
       }
       os << "\n";
-    }
-    if (k.locality.pairs > 0) {
-      const auto& l = k.locality;
-      os << "Particle access locality (" << k.locality_tiles << " tile samples, "
-         << l.particles << " particles): inversion fraction " << fmt3(l.inversion_fraction)
-         << ", mean gather stride " << fmt3(l.mean_stride_cells) << " cells (p99 "
-         << fmt3(l.p99_stride_cells) << "), cache-line reuse " << fmt_pct(l.line_reuse)
-         << " vs " << fmt_pct(l.sorted_line_reuse)
-         << " if cell-sorted -> predicted sort speedup **"
-         << fmt3(l.predicted_sort_speedup) << "x**.\n\n";
     }
     if (k.overlap_steps > 0) {
       os << "Halo phase timeline (critical rank, mean over " << k.overlap_steps
@@ -651,13 +627,7 @@ void write_json(const PerfReport& report, std::ostream& os) {
 
   if (report.kernel.enabled) {
     const auto& k = report.kernel;
-    w.begin_object("kernel_headroom")
-        .field("machine", k.machine)
-        .field("sampled_invocations", k.sampled_invocations)
-        .field("dropped_invocations", k.dropped_invocations)
-        .field("probe_s", k.probe_s)
-        .field("step_s", k.step_s)
-        .field("probe_overhead", k.probe_overhead);
+    w.begin_object("kernel_headroom").field("machine", k.machine);
     w.begin_array("kernels");
     for (const auto& r : k.kernels) {
       w.begin_object()
@@ -676,18 +646,6 @@ void write_json(const PerfReport& report, std::ostream& os) {
           .end_object();
     }
     w.end_array();
-    const auto& l = k.locality;
-    w.begin_object("locality")
-        .field("tiles", k.locality_tiles)
-        .field("particles", l.particles)
-        .field("pairs", l.pairs)
-        .field("inversion_fraction", l.inversion_fraction)
-        .field("mean_stride_cells", l.mean_stride_cells)
-        .field("p99_stride_cells", l.p99_stride_cells)
-        .field("line_reuse", l.line_reuse)
-        .field("sorted_line_reuse", l.sorted_line_reuse)
-        .field("predicted_sort_speedup", l.predicted_sort_speedup)
-        .end_object();
     w.begin_object("overlap")
         .field("steps", k.overlap_steps)
         .field("mean_post_s", k.mean_post_s)

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/obs/analysis.hpp"
-#include "src/obs/kernel_probe.hpp"
 #include "src/obs/memory.hpp"
 
 namespace mrpic::health {
@@ -137,25 +136,23 @@ MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
                                const RankRecorder* rec = nullptr,
                                double budget_bytes = 0);
 
-// Summary of a run's kernel-grain telemetry (obs::KernelProbe + the
-// cluster's halo phase timeline) for the perf report: per-kernel roofline
-// placement over the sampled invocations, the locality model's predicted
-// cell-binned-sort payoff, the mean per-step overlap headroom, and the
-// probe's own cost — the "## Kernel headroom" measuring stick for the
-// sort/SIMD/overlap work of ROADMAP item 2.
+// Summary of a run's particle kernels for the perf report: the profiler's
+// "gather"/"push"/"deposit" sub-region totals over every step, each placed
+// on the machine roofline with the run's particles_pushed and the analytic
+// per-particle flop and cold-cache byte models (analysis::kernel_*), plus
+// the mean per-step halo overlap headroom: the "## Kernel headroom"
+// measuring stick for kernel and comm/compute-overlap work.
 struct KernelSection {
   bool enabled = false;
   std::string machine;                 // roofline machine name
-  std::int64_t sampled_invocations = 0;
-  std::int64_t dropped_invocations = 0;
 
-  // Per-kind aggregate placed on the machine roofline (order: gather,
-  // push, deposit; zero-invocation kinds are skipped).
+  // Per-kernel totals placed on the machine roofline (order: gather, push,
+  // deposit; kernels the profiler never timed are skipped).
   struct KernelRow {
     std::string kernel;
-    std::int64_t invocations = 0;
-    std::int64_t particles = 0;
-    double time_s = 0;
+    std::int64_t invocations = 0;      // profiler launches
+    std::int64_t particles = 0;        // the run's particles_pushed
+    double time_s = 0;                 // profiler inclusive seconds
     double flops = 0;
     double bytes = 0;
     double intensity = 0;       // flops/byte (analytic model)
@@ -167,10 +164,6 @@ struct KernelSection {
   };
   std::vector<KernelRow> kernels;
 
-  // Merged locality sample + sort-payoff prediction.
-  TileLocality locality;
-  std::int64_t locality_tiles = 0;
-
   // Mean per-step halo phase split of the critical rank (zeros when no
   // recorder steps carried phase data).
   double mean_post_s = 0;
@@ -178,15 +171,13 @@ struct KernelSection {
   double mean_interior_compute_s = 0;
   double mean_overlap_headroom_s = 0;
   std::int64_t overlap_steps = 0;      // recorder steps with phase data
-
-  double probe_s = 0;          // probe self time + "kernel_obs" region
-  double step_s = 0;           // total seconds inside the "step" region
-  double probe_overhead = 0;   // probe_s / step_s (0 when step_s == 0)
 };
 
-// Collapse a kernel probe (plus the profiler's "kernel_obs"/"step" totals
-// and, when given, a recorder's halo phase lanes) into a KernelSection.
-KernelSection summarize_kernels(const KernelProbe& probe, const Profiler& prof,
+// Collapse the profiler's kernel totals (each kernel runs once per pushed
+// particle, so every row counts the run's `particles_pushed`) and, when
+// given, a recorder's halo phase lanes into a KernelSection.
+KernelSection summarize_kernels(const Profiler& prof, std::int64_t particles_pushed,
+                                int shape_order, int dim, const perf::Machine& machine,
                                 const RankRecorder* rec = nullptr);
 
 struct PerfReportOptions {

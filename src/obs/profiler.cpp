@@ -191,6 +191,22 @@ std::map<std::string, RegionStats> Profiler::flat_totals() const {
   return out;
 }
 
+std::vector<double> Profiler::inclusive_by_node() const {
+  std::lock_guard<std::mutex> lock(m_mu);
+  std::vector<double> out(m_nodes.size());
+  for (std::size_t i = 0; i < m_nodes.size(); ++i) { out[i] = m_nodes[i].stats.inclusive_s; }
+  return out;
+}
+
+void Profiler::add_inclusive_since(const std::vector<double>& before,
+                                   std::map<std::string, double>& out) const {
+  std::lock_guard<std::mutex> lock(m_mu);
+  for (std::size_t i = 0; i < m_nodes.size(); ++i) {
+    const double dt = m_nodes[i].stats.inclusive_s - (i < before.size() ? before[i] : 0.0);
+    if (dt > 0) { out[m_nodes[i].name] += dt; }
+  }
+}
+
 namespace {
 
 void report_node(std::ostream& os, const std::vector<Profiler::Node>& nodes, int idx,

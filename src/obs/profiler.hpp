@@ -111,6 +111,18 @@ public:
   // over every path sharing the name.
   std::map<std::string, RegionStats> flat_totals() const;
 
+  // Inclusive seconds of every node, indexed by node. Nodes are appended,
+  // never removed, until reset(), so a later call's vector extends this one.
+  std::vector<double> inclusive_by_node() const;
+
+  // Add each node's inclusive seconds beyond `before` (an earlier
+  // inclusive_by_node() with no reset() since; newer nodes count from 0) to
+  // `out` under the node's name, skipping nodes that did not advance: the
+  // flat per-name breakdown of the interval between the two calls, without
+  // copying the tree.
+  void add_inclusive_since(const std::vector<double>& before,
+                           std::map<std::string, double>& out) const;
+
   // Indented tree, children sorted by descending inclusive time, with
   // count / mean / min / max columns.
   void report(std::ostream& os) const;

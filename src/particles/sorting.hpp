@@ -2,8 +2,8 @@
 
 // Particle sorting: periodic counting-sort of a tile's particles by cell
 // (paper Sec. V.A.1: "grid tiling and particle sorting are used to improve
-// data locality"). Sorted tiles are also a precondition for the grouped
-// vectorized kernels in src/kernels.
+// data locality"). bench_kernels measures what the sort buys the gather and
+// deposit kernels.
 
 #include "src/amr/box.hpp"
 #include "src/amr/geometry.hpp"

@@ -150,7 +150,7 @@ void print_usage(const char* prog) {
       "  --insitu              in-situ physics series + streaming exporter\n"
       "  --memory              byte ledger, per-rank memory model, MR savings\n"
       "  --node-budget-gb G    OOM headroom vs a G-GiB per-rank budget (implies --memory)\n"
-      "  --kernel-obs          tile-grain kernel probes + \"Kernel headroom\" section\n"
+      "  --kernel-obs          \"Kernel headroom\" section: profiler kernel totals on a roofline\n"
       "  --no-mr               strip the scenario's MR patch\n"
       "  --run-id ID           run id recorded in the run.json manifest (default:\n"
       "                        generated <scenario>-<time>-<pid>-<n>)\n"
@@ -231,7 +231,6 @@ std::unique_ptr<core::Simulation<2>> build_observed_simulation(const ScenarioSpe
     mcfg.node_budget_gb = opt.node_budget_gb;
     sim->enable_memory_obs(mcfg);
   }
-  if (opt.kernel_obs) { sim->enable_kernel_obs(); }
   if (opt.health) {
     sim->enable_health(spec.health);
     sim->health()->set_alert_callback([&tel](const health::Alert& a) {
@@ -394,9 +393,10 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
     sim.rank_recorder().write_memory_heatmap_csv(out.path("memory_heatmap.csv"));
     sections += ", memory";
   }
-  if (opt.kernel_obs && sim.kernel_probe() != nullptr) {
-    report.kernel = obs::summarize_kernels(*sim.kernel_probe(), sim.profiler(),
-                                           &sim.rank_recorder());
+  if (opt.kernel_obs) {
+    report.kernel = obs::summarize_kernels(
+        sim.profiler(), sim.metrics().counter_value("particles_pushed"),
+        spec.sim.shape_order, 2, perf::machine_by_name("Summit"), &sim.rank_recorder());
     sections += ", kernel headroom";
   }
   {

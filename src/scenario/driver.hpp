@@ -38,7 +38,7 @@ struct RunOptions {
   bool health = false;       // invariant ledger + watchdog (src/health)
   bool insitu = false;       // physics registry + streaming (src/insitu)
   bool memory = false;       // byte ledger + per-rank model (src/obs/memory)
-  bool kernel_obs = false;   // kernel-grain probes + "Kernel headroom" section
+  bool kernel_obs = false;   // "Kernel headroom" report section (profiler totals)
   bool no_mr = false;        // strip the spec's MR patch
   double node_budget_gb = 0; // OOM headroom budget; implies memory
   // Campaign telemetry (run manifest + event timeline are always on).
@@ -79,10 +79,11 @@ private:
 // Build `spec` and attach every observer `opt` asks for, the one set-up
 // behind both mrpic_run and bench_observers: cluster observation, trace
 // profiling and `tel`'s event log always; the byte ledger every step
-// (memory), the default kernel probe (kernel_obs), health at the spec's
-// cadences, and the insitu series and stream at the spec's cadences under
-// `out` (insitu; without it the registry stays armed with every cadence off,
-// for the final beam summary). Returns the initialized simulation.
+// (memory), health at the spec's cadences, and the insitu series and stream
+// at the spec's cadences under `out` (insitu; without it the registry stays
+// armed with every cadence off, for the final beam summary). --kernel-obs
+// attaches nothing: its report section reads the profiler. Returns the
+// initialized simulation.
 std::unique_ptr<core::Simulation<2>> build_observed_simulation(const ScenarioSpec& spec,
                                                                const RunOptions& opt,
                                                                const diag::OutputDir& out,

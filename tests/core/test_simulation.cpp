@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -169,6 +170,22 @@ TEST(Simulation, DynamicLoadBalancingRebalances) {
   EXPECT_LT(sim.dist_map().imbalance(sim.load_balancer().costs()), 1.5);
 }
 
+// An open (PML) domain with an MR patch: every field_solve sub-region runs.
+SimulationConfig<2> open_config() {
+  auto cfg = periodic_config();
+  cfg.periodic = {false, false};
+  cfg.use_pml = true;
+  cfg.pml.npml = 4;
+  return cfg;
+}
+
+mr::MRPatch<2>::Config small_patch() {
+  mr::MRPatch<2>::Config pcfg;
+  pcfg.region = mrpic::Box2(mrpic::IntVect2(8, 8), mrpic::IntVect2(15, 15));
+  pcfg.pml.npml = 4;
+  return pcfg;
+}
+
 TEST(Simulation, ProfilerRecordsStages) {
   Simulation<2> sim(periodic_config());
   plasma::InjectorConfig<2> inj;
@@ -199,15 +216,8 @@ TEST(Simulation, ProfilerRecordsStages) {
 
   // An open domain adds the level-0 ring and an MR patch adds the patch,
   // each once per sub-step.
-  auto open_cfg = periodic_config();
-  open_cfg.periodic = {false, false};
-  open_cfg.use_pml = true;
-  open_cfg.pml.npml = 4;
-  Simulation<2> open_sim(open_cfg);
-  mr::MRPatch<2>::Config pcfg;
-  pcfg.region = mrpic::Box2(mrpic::IntVect2(8, 8), mrpic::IntVect2(15, 15));
-  pcfg.pml.npml = 4;
-  open_sim.enable_mr_patch(pcfg);
+  Simulation<2> open_sim(open_config());
+  open_sim.enable_mr_patch(small_patch());
   open_sim.add_species(particles::Species::electron(), inj);
   open_sim.init();
   open_sim.run(2);
@@ -233,6 +243,41 @@ TEST(Simulation, ProfilerRecordsStages) {
   EXPECT_EQ(pflat.at("psatd").count, 2);
   EXPECT_EQ(pflat.at("exchange").count, 2);
   EXPECT_EQ(pflat.count("fdtd"), 0u);
+}
+
+// StepReport::region_s is the breakdown of exactly one step: region by
+// region, the difference of the profiler's flat totals across the step.
+TEST(Simulation, StepReportRegionsMatchFlatTotalDifferences) {
+  Simulation<2> sim(open_config());
+  sim.enable_mr_patch(small_patch());
+  plasma::InjectorConfig<2> inj;
+  inj.density = plasma::uniform<2>(1e23);
+  sim.add_species(particles::Species::electron(), inj);
+  sim.init();
+
+  auto before = sim.profiler().flat_totals();
+  int steps = 0;
+  sim.set_step_callback([&](const obs::StepReport& rep) {
+    const auto after = sim.profiler().flat_totals();
+    std::map<std::string, double> expected;
+    for (const auto& [name, s] : after) {
+      const auto it = before.find(name);
+      const double dt = s.inclusive_s - (it == before.end() ? 0.0 : it->second.inclusive_s);
+      if (dt > 0) { expected[name] = dt; }
+    }
+    EXPECT_EQ(rep.region_s.size(), expected.size()) << "step " << rep.step;
+    for (const auto& [name, dt] : expected) {
+      EXPECT_NEAR(rep.region(name), dt, 1e-12) << name << ", step " << rep.step;
+    }
+    before = after;
+    ++steps;
+  });
+  sim.run(5);
+  EXPECT_EQ(steps, 5);
+  for (const char* region : {"step", "particles", "gather", "push", "deposit", "current_sync",
+                             "field_solve", "exchange", "fdtd", "pml", "patch", "mr_aux"}) {
+    EXPECT_GT(sim.last_step_report().region(region), 0.0) << region;
+  }
 }
 
 // The particle kernels exist for shape orders 1-3; any other order is

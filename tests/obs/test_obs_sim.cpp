@@ -10,7 +10,9 @@
 
 #include "src/core/simulation.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/perf_report.hpp"
 #include "src/obs/trace.hpp"
+#include "src/perf/machine.hpp"
 
 namespace mrpic::core {
 namespace {
@@ -38,30 +40,41 @@ void add_electrons(Simulation<2>& sim) {
 TEST(ObsSim, ProfilerNestsStagesUnderStep) {
   Simulation<2> sim(small_config());
   add_electrons(sim);
-  sim.enable_kernel_obs(); // every 5th step: only step 0 of these three
   sim.init();
   sim.run(3);
   EXPECT_EQ(sim.profiler().stats("step").count, 3);
   EXPECT_EQ(sim.profiler().stats("step/particles").count, 3);
   EXPECT_EQ(sim.profiler().stats("step/field_solve").count, 3);
-  EXPECT_EQ(sim.profiler().stats("step/kernel_obs").count, 1);
-  // The sampled step probed each kernel once per tile (four 16^2 boxes,
-  // 256 electrons each), at the analytic per-particle flops and bytes.
-  for (int k = 0; k < obs::kNumKernelKinds; ++k) {
-    const auto kind = static_cast<obs::KernelKind>(k);
-    const auto agg = sim.kernel_probe()->aggregate(kind);
-    EXPECT_EQ(agg.invocations, 4) << obs::kernel_kind_name(kind);
-    EXPECT_EQ(agg.particles, 1024) << obs::kernel_kind_name(kind);
-    EXPECT_DOUBLE_EQ(agg.flops, 1024 * obs::kernel_flops_per_particle(kind, 2, 2));
-    EXPECT_DOUBLE_EQ(agg.bytes, 1024 * obs::kernel_bytes_per_particle(kind, 2, 2));
-  }
   // Stages nest strictly inside the step.
   const auto step = sim.profiler().stats("step");
   const auto particles = sim.profiler().stats("step/particles");
   EXPECT_GE(step.inclusive_s, particles.inclusive_s);
   // Flat per-name totals answer the same questions without paths.
-  EXPECT_EQ(sim.profiler().flat_totals().at("step").count, 3);
-  EXPECT_EQ(sim.profiler().flat_totals().at("particles").count, 3);
+  const auto flat = sim.profiler().flat_totals();
+  EXPECT_EQ(flat.at("step").count, 3);
+  EXPECT_EQ(flat.at("particles").count, 3);
+  EXPECT_EQ(flat.count("kernel_obs"), 0u);
+
+  // The kernel-headroom rows are the profiler's kernel totals: one launch
+  // per tile and step (four 16^2 boxes, 256 electrons each), at the
+  // analytic per-particle flops and bytes.
+  const auto pushed = sim.metrics().counter_value("particles_pushed");
+  EXPECT_EQ(pushed, 3 * 1024);
+  const auto k = obs::summarize_kernels(sim.profiler(), pushed, 2, 2,
+                                        perf::machine_by_name("Summit"));
+  ASSERT_EQ(k.kernels.size(), std::size_t(obs::analysis::kNumKernelKinds));
+  for (int i = 0; i < obs::analysis::kNumKernelKinds; ++i) {
+    const auto kind = static_cast<obs::analysis::KernelKind>(i);
+    const auto& row = k.kernels[std::size_t(i)];
+    const std::string name = obs::analysis::kernel_kind_name(kind);
+    EXPECT_EQ(row.kernel, name);
+    EXPECT_EQ(row.invocations, 12) << name;
+    EXPECT_EQ(row.particles, 3072) << name;
+    EXPECT_EQ(row.time_s, sim.profiler().stats("step/particles/" + name).inclusive_s)
+        << name;
+    EXPECT_DOUBLE_EQ(row.flops, 3072 * obs::analysis::kernel_flops_per_particle(kind, 2, 2));
+    EXPECT_DOUBLE_EQ(row.bytes, 3072 * obs::analysis::kernel_bytes_per_particle(kind, 2, 2));
+  }
 }
 
 TEST(ObsSim, StepReportAndMetricsPipeline) {

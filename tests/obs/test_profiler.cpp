@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -74,6 +75,22 @@ TEST(Profiler, SameNameUnderDifferentParentsIsDistinct) {
   // Flat totals merge by leaf name across parents.
   const auto flat = p.flat_totals();
   EXPECT_EQ(flat.at("sync").count, 2);
+
+  // So do the per-node inclusive deltas: from an empty baseline they are
+  // the flat totals, and after a baseline only the nodes that advanced.
+  std::map<std::string, double> since;
+  p.add_inclusive_since({}, since);
+  EXPECT_DOUBLE_EQ(since.at("sync"), flat.at("sync").inclusive_s);
+  const auto before = p.inclusive_by_node();
+  const double b_sync_before = p.stats("b/sync").inclusive_s;
+  {
+    auto b = p.scope("b");
+    auto x = p.scope("sync");
+  }
+  since.clear();
+  p.add_inclusive_since(before, since);
+  EXPECT_EQ(since.count("a"), 0u);
+  EXPECT_DOUBLE_EQ(since.at("sync"), p.stats("b/sync").inclusive_s - b_sync_before);
 }
 
 TEST(Profiler, FlatTotalsAggregateNestedScopes) {
