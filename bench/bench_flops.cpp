@@ -11,8 +11,8 @@
 
 #include <cstdio>
 
-#include "src/perf/flop_counter.hpp"
 #include "src/perf/machine.hpp"
+#include "src/perf/op_counts.hpp"
 #include "src/perf/scaling_model.hpp"
 
 using namespace mrpic;

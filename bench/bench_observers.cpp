@@ -4,7 +4,8 @@
 // (scenario::build_observed_simulation), runs it and prices each observer at
 // its registered cadence against the step it rides on:
 //
-//  - health, insitu, memory, cluster observation: their profiler regions;
+//  - health, insitu, memory, cluster observation: their rows of the perf
+//    report's time table (obs::time_breakdown);
 //  - telemetry: the run-telemetry trio (manifest, heartbeat every 5 steps,
 //    event log), timed directly around its calls.
 //
@@ -32,6 +33,7 @@
 #include "src/amr/parallel_for.hpp"
 #include "src/diag/output_dir.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/perf_report.hpp"
 #include "src/obs/run_manifest.hpp"
 #include "src/scenario/driver.hpp"
 #include "src/scenario/registry.hpp"
@@ -79,19 +81,15 @@ std::vector<ObserverRow> run_once(const diag::OutputDir& out) {
   }
   timed([&] { tel.finish(*sim, obs::kRunStatusCompleted, 0, ""); });
 
-  const auto totals = sim->profiler().flat_totals();
-  const auto region_s = [&totals](const char* name) {
-    const auto it = totals.find(name);
-    return it == totals.end() ? 0.0 : it->second.inclusive_s;
-  };
+  const auto time = obs::time_breakdown(sim->profiler());
   std::vector<ObserverRow> rows = {
-      {"health", false, region_s("health")},
+      {"health", false, time.seconds("health")},
       {"telemetry", true, telemetry_s},
-      {"insitu", true, region_s("insitu")},
-      {"cluster_obs", true, region_s("cluster_obs")},
-      {"memory", true, region_s("memory")},
+      {"insitu", true, time.seconds("insitu")},
+      {"cluster_obs", true, time.seconds("cluster_obs")},
+      {"memory", true, time.seconds("memory")},
   };
-  for (auto& r : rows) { r.step_s = region_s("step"); }
+  for (auto& r : rows) { r.step_s = time.step_s; }
   return rows;
 }
 

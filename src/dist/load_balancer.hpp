@@ -1,8 +1,10 @@
 #pragma once
 
-// Dynamic load balancing (paper Sec. V.C): boxes carry measured runtime
-// costs; when the imbalance of the current DistributionMapping exceeds a
-// threshold, a new mapping is computed with the configured strategy. Also
+// Dynamic load balancing (paper Sec. V.C): boxes carry costs from whatever
+// the caller records. Simulation's step records box_cost_heuristic()
+// (0.1 * cells + 0.9 * particles per box), not measured runtimes. When the
+// imbalance of the current DistributionMapping exceeds a threshold, a new
+// mapping is computed with the configured strategy. Also
 // implements the PML co-location heuristic: PML boxes are placed on the rank
 // of the spatially closest parent-grid box, which the paper credits with a
 // 25% performance gain.

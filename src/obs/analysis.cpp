@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 #include <numeric>
 
 #include "src/dist/imbalance.hpp"
@@ -282,7 +283,7 @@ LossTerms decompose_step_overhead(const RankStepBreakdown& step, double latency_
 }
 
 // ---------------------------------------------------------------------------
-// Roofline attribution
+// Roofline placement
 // ---------------------------------------------------------------------------
 
 KernelRoofline roofline_point(const std::string& kernel, double flops, double bytes,
@@ -291,15 +292,12 @@ KernelRoofline roofline_point(const std::string& kernel, double flops, double by
   p.kernel = kernel;
   p.flops = flops;
   p.bytes = bytes;
-  p.peak_tflops = m.dp_tflops_device;
-  p.peak_tbyte_s = m.tbyte_s_device;
   // Ridge point: the intensity where the memory roof meets the compute roof.
   const double ridge = m.tbyte_s_device > 0 ? m.dp_tflops_device / m.tbyte_s_device : 0;
   p.intensity = bytes > 0 ? flops / bytes : ridge;
   // TFlop/s roof at this intensity: (flops/byte) * (TByte/s) = TFlop/s.
   p.roof_tflops = std::min(m.dp_tflops_device, p.intensity * m.tbyte_s_device);
   p.memory_bound = p.intensity * m.tbyte_s_device < m.dp_tflops_device;
-  p.time_s = time_s;
   if (time_s > 0) {
     p.attained_tflops = flops / time_s / 1e12;
     p.attainment = p.roof_tflops > 0 ? p.attained_tflops / p.roof_tflops : 0;
@@ -345,36 +343,6 @@ double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim) {
       return 2 * real_b * dim + real_b + 6 * real_b * esirkepov_points;
   }
   return 0;
-}
-
-std::vector<KernelRoofline> roofline(const perf::FlopCounter& fc,
-                                     const std::map<std::string, double>& kernel_bytes,
-                                     const perf::Machine& m,
-                                     const std::map<std::string, double>& kernel_seconds) {
-  std::vector<KernelRoofline> points;
-  points.reserve(fc.per_kernel().size());
-  for (const auto& [kernel, ops] : fc.per_kernel()) {
-    const auto bit = kernel_bytes.find(kernel);
-    const auto sit = kernel_seconds.find(kernel);
-    points.push_back(roofline_point(kernel, static_cast<double>(ops.flops()),
-                                    bit == kernel_bytes.end() ? 0.0 : bit->second, m,
-                                    sit == kernel_seconds.end() ? 0.0 : sit->second));
-  }
-  return points;
-}
-
-std::map<std::string, double> pic_kernel_bytes(double particles, double cells,
-                                               bool mixed_precision) {
-  // Stage split of perf::StepTimeModel's effective traffic (5000 B/particle
-  // + 400 B/cell per step, DP order-3): gather dominates via the stencil
-  // taps, deposition via the read-modify-write current accumulation.
-  const double f = mixed_precision ? 0.6 : 1.0;
-  return {
-      {"gather", 2400.0 * particles * f},
-      {"push", 600.0 * particles * f},
-      {"deposition", 2000.0 * particles * f},
-      {"field_solve", 400.0 * cells * f},
-  };
 }
 
 } // namespace mrpic::obs::analysis

@@ -2,7 +2,7 @@
 
 // obs::analysis — the layer that turns recorded telemetry into answers
 // (paper Sec. VII: *why* does efficiency drop at scale, not just *that* it
-// drops). Three engines over RankRecorder data plus a roofline placement:
+// drops). Two engines over RankRecorder data plus a roofline placement:
 //
 //  1. Step DAG + critical path. Each recorded step becomes a dependency
 //     graph: one compute node per rank, one node per logged halo message
@@ -26,21 +26,20 @@
 //     invariant asserted by tests/obs/test_analysis.cpp). For clean sweeps
 //     (uniform per-rank work equal to the ideal) the residual is zero.
 //
-//  3. Roofline attribution. Kernels (flops from perf::FlopCounter, bytes
-//     from the PIC traffic metadata) are placed against a machine's Table
-//     II peaks: arithmetic intensity, the machine's roof at that intensity,
-//     and — when a measured time is available — the attainment fraction.
+//  3. Roofline placement. The particle kernels (analytic flops and
+//     cold-cache bytes per pushed particle) are placed against a machine's
+//     Table II peaks: arithmetic intensity, the machine's roof at that
+//     intensity, and — when a measured time is available — the attainment
+//     fraction.
 //
 // perf_report.hpp packages these into Markdown/JSON reports; the scaling
 // benches expose them under --attribution.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/obs/rank_recorder.hpp"
-#include "src/perf/flop_counter.hpp"
 #include "src/perf/machine.hpp"
 
 namespace mrpic::obs::analysis {
@@ -170,7 +169,7 @@ LossTerms decompose_step_overhead(const RankStepBreakdown& step, double latency_
                                   double detect_s = 0, double checkpoint_s = 0);
 
 // ---------------------------------------------------------------------------
-// 3. Roofline attribution
+// 3. Roofline placement
 // ---------------------------------------------------------------------------
 
 struct KernelRoofline {
@@ -178,12 +177,9 @@ struct KernelRoofline {
   double flops = 0;           // total floating-point operations
   double bytes = 0;           // total DRAM traffic
   double intensity = 0;       // flops/byte
-  double peak_tflops = 0;     // device DP vendor peak
-  double peak_tbyte_s = 0;    // device vendor memory bandwidth
   double roof_tflops = 0;     // min(peak, intensity * bandwidth)
   bool memory_bound = false;  // intensity below the machine's ridge point
-  double time_s = 0;          // measured seconds (0 = placement only)
-  double attained_tflops = 0; // flops / time (when time_s > 0)
+  double attained_tflops = 0; // flops / time (when a time is given)
   double attainment = 0;      // attained_tflops / roof_tflops
 };
 
@@ -208,24 +204,8 @@ double kernel_flops_per_particle(KernelKind k, int shape_order, int dim);
 //            (2*8*dim)                                    -> 96 + 16*dim
 //   deposit: read x_old + x_new (16*dim), read w (8), read-modify-write 3
 //            current components over Q cells (48*Q)       -> 16*dim + 8 + 48*Q
-// Deliberately a per-particle closed form, distinct from the calibrated
-// per-step aggregate in pic_kernel_bytes, so a kernel's intensity is exact
-// and the gap between modeled and achieved bandwidth is the cache headroom.
+// A per-particle closed form, so a kernel's intensity is exact and the gap
+// between modeled and achieved bandwidth is the cache headroom.
 double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim);
-
-// Place every kernel of a FlopCounter against `m`. `kernel_bytes` supplies
-// the traffic metadata (kernels absent from the map are placed with the
-// machine's ridge-point intensity so they still appear, flagged by
-// bytes == 0); `kernel_seconds` optionally supplies measured times.
-std::vector<KernelRoofline> roofline(const perf::FlopCounter& fc,
-                                     const std::map<std::string, double>& kernel_bytes,
-                                     const perf::Machine& m,
-                                     const std::map<std::string, double>& kernel_seconds = {});
-
-// Canonical DRAM traffic metadata of the production PIC stages (bytes per
-// step), consistent with perf::StepTimeModel's aggregate 400 B/cell +
-// 5000 B/particle split across the stages that touch each data structure.
-std::map<std::string, double> pic_kernel_bytes(double particles, double cells,
-                                               bool mixed_precision = false);
 
 } // namespace mrpic::obs::analysis

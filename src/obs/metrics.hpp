@@ -3,13 +3,13 @@
 // obs::MetricsRegistry — named counters and gauges unified across the
 // subsystems that previously kept private tallies: particles pushed and
 // cells advanced (core), halo bytes/messages and compute/comm seconds
-// (cluster::StepCost), load imbalance and rebalances (dist::LoadBalancer),
-// FLOPs (perf::FlopCounter). Counters are monotone int64 accumulators
-// (atomic adds, safe from OpenMP threads); gauges are last-write-wins
-// doubles. begin_step()/end_step() bracket one PIC step and snapshot the
-// per-step counter deltas plus current gauge values into a StepRecord; the
-// history serializes as JSONL (one JSON object per step) for machine
-// consumption by the scaling benches and future perf PRs.
+// (cluster::StepCost), load imbalance and rebalances (dist::LoadBalancer).
+// Counters are monotone int64 accumulators (atomic adds, safe from OpenMP
+// threads); gauges are last-write-wins doubles. begin_step()/end_step()
+// bracket one PIC step and snapshot the per-step counter deltas plus
+// current gauge values into a StepRecord; the history serializes as JSONL
+// (one JSON object per step) for machine consumption by the scaling benches
+// and future perf PRs.
 
 #include <atomic>
 #include <cstdint>

@@ -90,7 +90,7 @@ std::vector<int> PerfReport::worst_steps() const {
   return order;
 }
 
-HealthSection summarize_health(const health::HealthMonitor& mon, const Profiler& prof) {
+HealthSection summarize_health(const health::HealthMonitor& mon) {
   HealthSection h;
   h.enabled = true;
   const auto history = mon.snapshot_history();
@@ -101,15 +101,6 @@ HealthSection summarize_health(const health::HealthMonitor& mon, const Profiler&
     if (a.severity == health::Severity::Critical) { ++h.critical_alerts; }
   }
   if (!alerts.empty()) { h.last_alert = alerts.back().message; }
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("health"); it != totals.end()) {
-    h.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    h.step_s = it->second.inclusive_s;
-  }
-  h.probe_overhead = h.step_s > 0 ? h.probe_s / h.step_s : 0;
 
   if (history.size() >= 2) {
     const double e0 = history.front().total_energy_J();
@@ -129,20 +120,11 @@ HealthSection summarize_health(const health::HealthMonitor& mon, const Profiler&
   return h;
 }
 
-BeamPhysicsSection summarize_insitu(const insitu::Registry& reg, const Profiler& prof,
+BeamPhysicsSection summarize_insitu(const insitu::Registry& reg,
                                     const insitu::StreamWriter* stream) {
   BeamPhysicsSection b;
   b.enabled = true;
   b.records = reg.num_records();
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("insitu"); it != totals.end()) {
-    b.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    b.step_s = it->second.inclusive_s;
-  }
-  b.probe_overhead = b.step_s > 0 ? b.probe_s / b.step_s : 0;
 
   if (const auto* r = reg.last("beam")) {
     b.emit_ny = r->value("emit_ny_m_rad");
@@ -165,9 +147,9 @@ BeamPhysicsSection summarize_insitu(const insitu::Registry& reg, const Profiler&
   return b;
 }
 
-MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
-                               const MrSavings* measured, const MrSavings* analytic,
-                               const RankRecorder* rec, double budget_bytes) {
+MemorySection summarize_memory(const MemoryLedger& ledger, const MrSavings* measured,
+                               const MrSavings* analytic, const RankRecorder* rec,
+                               double budget_bytes) {
   MemorySection m;
   m.enabled = true;
   m.total_bytes = ledger.total_current();
@@ -179,15 +161,6 @@ MemorySection summarize_memory(const MemoryLedger& ledger, const Profiler& prof,
   m.checkpoint_hw_bytes = ledger.high_water("checkpoint");
   m.insitu_stream_bytes = ledger.current("insitu.stream");
   m.alloc_count = ledger.total_alloc_count();
-
-  const auto totals = prof.flat_totals();
-  if (const auto it = totals.find("memory"); it != totals.end()) {
-    m.probe_s = it->second.inclusive_s;
-  }
-  if (const auto it = totals.find("step"); it != totals.end()) {
-    m.step_s = it->second.inclusive_s;
-  }
-  m.probe_overhead = m.step_s > 0 ? m.probe_s / m.step_s : 0;
 
   if (measured != nullptr && analytic != nullptr) {
     m.measured = *measured;
@@ -209,7 +182,6 @@ KernelSection summarize_kernels(const Profiler& prof, std::int64_t particles_pus
                                 int shape_order, int dim, const perf::Machine& machine,
                                 const RankRecorder* rec) {
   KernelSection k;
-  k.enabled = true;
   k.machine = machine.name;
 
   const auto totals = prof.flat_totals();
@@ -266,6 +238,57 @@ KernelSection summarize_kernels(const Profiler& prof, std::int64_t particles_pus
   return k;
 }
 
+double TimeBreakdown::seconds(std::string_view region) const {
+  for (const auto& r : regions) {
+    if (r.region == region) { return r.seconds; }
+  }
+  return 0;
+}
+
+TimeBreakdown time_breakdown(const Profiler& prof) {
+  const auto nodes = prof.snapshot();
+  const auto node = [&nodes](int i) -> const Profiler::Node& { return nodes[std::size_t(i)]; };
+  // Node indices by descending inclusive time (the profiler tree's order).
+  const auto by_time = [&node](std::vector<int> ids) {
+    std::stable_sort(ids.begin(), ids.end(), [&node](int a, int b) {
+      return node(a).stats.inclusive_s > node(b).stats.inclusive_s;
+    });
+    return ids;
+  };
+  TimeBreakdown t;
+  const auto add = [&t](const Profiler::Node& n, const std::string& parent) {
+    t.regions.push_back({n.name, parent, n.stats.inclusive_s, n.stats.count, 0, 0});
+  };
+
+  int step = -1;
+  std::vector<int> other_roots;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].parent >= 0) { continue; }
+    if (nodes[i].name == "step") {
+      step = int(i);
+    } else {
+      other_roots.push_back(int(i));
+    }
+  }
+  if (step >= 0) {
+    const auto& s = node(step);
+    t.steps = s.stats.count;
+    t.step_s = s.stats.inclusive_s;
+    add(s, "");
+    for (int c : by_time(s.children)) {
+      add(node(c), s.name);
+      for (int g : by_time(node(c).children)) { add(node(g), node(c).name); }
+    }
+    t.regions.push_back({"step (unattributed)", s.name, s.stats.exclusive_s, 0, 0, 0});
+  }
+  for (int r : by_time(other_roots)) { add(node(r), ""); }
+  for (auto& r : t.regions) {
+    r.ms_per_step = t.steps > 0 ? r.seconds / double(t.steps) * 1e3 : 0;
+    r.share = t.step_s > 0 ? r.seconds / t.step_s : 0;
+  }
+  return t;
+}
+
 PerfReport build_perf_report(const RankRecorder& rec, const PerfReportOptions& opt) {
   PerfReport report;
   report.title = opt.title;
@@ -284,12 +307,69 @@ PerfReport build_perf_report(const RankRecorder& rec, const PerfReportOptions& o
 
 void write_markdown(const PerfReport& report, std::ostream& os) {
   os << "# " << report.title << "\n\n";
-  os << report.nranks << " ranks, " << report.summary.steps
-     << " recorded steps, wire latency " << fmt_us(report.latency_s) << ".\n\n";
 
-  // --- aggregate critical-path composition --------------------------------
+  // --- measured: where the time went --------------------------------------
+  const auto& t = report.time;
+  if (report.measured()) {
+    os << "## Where the time went\n\n";
+    os << "Measured by the profiler over " << t.steps << " steps: "
+       << fmt3(t.steps > 0 ? t.step_s / double(t.steps) * 1e3 : 0)
+       << " ms per step. Rows in `step` sum to `step`; \"step (unattributed)\" is its "
+          "time outside every sub-region.\n\n";
+    os << "| region | in | ms/step | share of step | launches |\n"
+       << "|---|---|---:|---:|---:|\n";
+    for (const auto& r : t.regions) {
+      os << "| " << r.region << " | " << (r.parent.empty() ? "-" : r.parent) << " | "
+         << fmt3(r.ms_per_step) << " | " << fmt_pct(r.share) << " | "
+         << (r.count > 0 ? std::to_string(r.count) : std::string("-")) << " |\n";
+    }
+    os << "\n";
+
+    // --- measured: kernel headroom ----------------------------------------
+    const auto& k = report.kernel;
+    os << "## Kernel headroom";
+    if (!k.machine.empty()) { os << " (" << k.machine << ")"; }
+    os << "\n\n";
+    if (k.kernels.empty()) {
+      os << "No particle kernel ran.\n\n";
+    } else {
+      os << "Profiler totals of the particle kernels over every step, on the "
+            "analytic cold-cache byte model.\n\n";
+      os << "| kernel | invocations | particles | time | GB/s | intensity | "
+            "roof TFlop/s | bound | attainment |\n"
+         << "|---|---:|---:|---:|---:|---:|---:|---|---:|\n";
+      for (const auto& r : k.kernels) {
+        os << "| " << r.kernel << " | " << r.invocations << " | " << r.particles
+           << " | " << fmt_us(r.time_s) << " | " << fmt3(r.gbyte_s) << " | "
+           << fmt3(r.intensity) << " | " << fmt3(r.roof_tflops) << " | "
+           << (r.memory_bound ? "memory" : "compute") << " | "
+           << (r.time_s > 0 ? fmt_pct(r.attainment) : std::string("-")) << " |\n";
+      }
+      os << "\n";
+    }
+    if (k.overlap_steps > 0) {
+      os << "Halo phase timeline (modelled: the virtual cluster's critical rank, mean over "
+         << k.overlap_steps << " steps): post " << fmt_us(k.mean_post_s) << ", wait "
+         << fmt_us(k.mean_wait_s) << ", interior compute "
+         << fmt_us(k.mean_interior_compute_s) << " -> overlap headroom **"
+         << fmt_us(k.mean_overlap_headroom_s) << "** per step (recoverable by "
+         << "overlapping interior work with halo waits).\n\n";
+    }
+  }
+
+  // --- modelled: aggregate critical-path composition ----------------------
   const auto& s = report.summary;
-  os << "## Critical-path composition (all steps)\n\n";
+  os << "## Critical-path composition (modelled, all steps)\n\n";
+  os << "Modelled, not measured: " << s.steps << " recorded steps on the virtual cluster ("
+     << report.nranks << " ranks), wire latency " << fmt_us(report.latency_s) << ".";
+  // Measured time comes with a Simulation's recorder, whose cluster
+  // observation prices each box at box_cost_heuristic() x cost_unit_s.
+  if (report.measured() && s.steps > 0 && t.steps > 0) {
+    os << " Box costs `box_cost_heuristic()` × `cost_unit_s`: modelled "
+       << fmt3(s.makespan_s / s.steps * 1e3) << " ms/step; measured "
+       << fmt3(t.step_s / double(t.steps) * 1e3) << " ms/step.";
+  }
+  os << "\n\n";
   if (s.steps == 0 || s.makespan_s <= 0) {
     os << "No recorded steps.\n\n";
   } else {
@@ -302,8 +382,8 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
     os << "| **total makespan** | **" << fmt3(T) << "** | 100% |\n\n";
   }
 
-  // --- stragglers ---------------------------------------------------------
-  os << "## Straggler ranks\n\n";
+  // --- modelled: stragglers -----------------------------------------------
+  os << "## Straggler ranks (modelled)\n\n";
   const auto stragglers = s.stragglers();
   if (stragglers.empty()) {
     os << "No per-rank critical-path evidence.\n\n";
@@ -319,43 +399,48 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
     os << "\n";
   }
 
-  // --- worst steps --------------------------------------------------------
+  // --- modelled: worst steps and the median step --------------------------
+  // Bounded whatever the step count: the top_steps worst steps plus the
+  // median (nearest rank) by makespan; the JSON keeps every step.
   const auto order = report.worst_steps();
-  const int shown = std::min<int>(report.top_steps, int(order.size()));
-  if (shown > 0) {
-    os << "## Top " << shown << " steps by critical-path makespan\n\n";
-    os << "| step | makespan | compute | transfer | latency | resil | rank chain |\n"
-       << "|---:|---:|---:|---:|---:|---:|---|\n";
-    for (int i = 0; i < shown; ++i) {
-      const auto& p = report.paths[std::size_t(order[std::size_t(i)])];
-      os << "| " << p.step << " | " << fmt3(p.makespan_s) << " | " << fmt3(p.compute_s)
+  if (!order.empty()) {
+    const int shown = std::min<int>(report.top_steps, int(order.size()));
+    os << "## Top " << shown << " steps by critical-path makespan, and the median step "
+       << "(modelled)\n\n";
+    os << "| step | makespan | compute | transfer | latency | resil | efficiency | "
+          "imbalance | rank chain |\n"
+       << "|---:|---:|---:|---:|---:|---:|---:|---:|---|\n";
+    const auto row = [&](int i, const char* tag) {
+      const auto& p = report.paths[std::size_t(i)];
+      os << "| " << p.step << tag << " | " << fmt3(p.makespan_s) << " | " << fmt3(p.compute_s)
          << " | " << fmt3(p.transfer_s) << " | " << fmt3(p.latency_s) << " | "
-         << fmt3(p.retry_s) << " | " << chain_string(p.rank_chain) << " |\n";
-    }
+         << fmt3(p.retry_s) << " | ";
+      if (std::size_t(i) < report.step_overhead.size()) {
+        const auto& o = report.step_overhead[std::size_t(i)];
+        os << fmt_pct(o.efficiency) << " | " << fmt_pct(o.imbalance);
+      } else {
+        os << "- | -";
+      }
+      os << " | " << chain_string(p.rank_chain) << " |\n";
+    };
+    for (int i = 0; i < shown; ++i) { row(order[std::size_t(i)], ""); }
+    row(order[order.size() / 2], " (p50)");
     os << "\n";
   }
 
-  // --- scaling losses -----------------------------------------------------
-  const bool sweep = !report.scaling_losses.empty();
-  const auto& losses = sweep ? report.scaling_losses : report.step_overhead;
-  if (!losses.empty()) {
-    os << (sweep ? "## Scaling-loss decomposition\n\n"
-                 : "## Per-step parallel overhead\n\n");
+  // --- scaling losses (sweeps) --------------------------------------------
+  if (!report.scaling_losses.empty()) {
+    os << "## Scaling-loss decomposition\n\n";
     os << "Each row splits 1 - efficiency into terms that sum to the loss "
           "exactly (invariant gap shown).\n\n";
-    os << "| " << (sweep ? "nodes" : "step") << " | efficiency | loss | imbalance | comm "
-       << "| latency | resil | residual | gap |\n"
+    os << "| nodes | efficiency | loss | imbalance | comm | latency | resil | residual "
+          "| gap |\n"
        << "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-    for (std::size_t i = 0; i < losses.size(); ++i) {
-      const auto& t = losses[i];
-      os << "| " << (sweep ? std::to_string(std::int64_t(t.nodes))
-                           : std::to_string(report.paths.size() > i
-                                                ? std::int64_t(report.paths[i].step)
-                                                : std::int64_t(i)))
-         << " | " << fmt_pct(t.efficiency) << " | " << fmt_pct(t.loss) << " | "
-         << fmt_pct(t.imbalance) << " | " << fmt_pct(t.comm) << " | "
-         << fmt_pct(t.latency) << " | " << fmt_pct(t.resil) << " | "
-         << fmt_pct(t.residual) << " | " << fmt3(t.invariant_gap()) << " |\n";
+    for (const auto& l : report.scaling_losses) {
+      os << "| " << std::int64_t(l.nodes) << " | " << fmt_pct(l.efficiency) << " | "
+         << fmt_pct(l.loss) << " | " << fmt_pct(l.imbalance) << " | " << fmt_pct(l.comm)
+         << " | " << fmt_pct(l.latency) << " | " << fmt_pct(l.resil) << " | "
+         << fmt_pct(l.residual) << " | " << fmt3(l.invariant_gap()) << " |\n";
     }
     os << "\n";
   }
@@ -365,8 +450,7 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
     const auto& h = report.health;
     os << "## Simulation health\n\n";
     os << h.samples << " ledger samples, " << h.alerts << " alerts (" << h.critical_alerts
-       << " critical). Probe cost " << fmt3(h.probe_s) << " s of " << fmt3(h.step_s)
-       << " s stepped (" << fmt_pct(h.probe_overhead) << " overhead).\n\n";
+       << " critical).\n\n";
     os << "| invariant | value |\n|---|---:|\n";
     os << "| relative energy drift | "
        << (std::isfinite(h.energy_drift) ? fmt3(h.energy_drift) : std::string("-")) << " |\n";
@@ -386,9 +470,7 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
   if (report.beam.enabled) {
     const auto& b = report.beam;
     os << "## Beam physics\n\n";
-    os << b.records << " in-situ records. Probe cost " << fmt3(b.probe_s) << " s of "
-       << fmt3(b.step_s) << " s stepped (" << fmt_pct(b.probe_overhead)
-       << " overhead).";
+    os << b.records << " in-situ records.";
     if (b.stream_frames > 0) {
       os << " Streamed " << b.stream_frames << " frames (" << b.stream_bytes
          << " bytes).";
@@ -416,8 +498,7 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
     os << "## Memory\n\n";
     os << "Live footprint " << format_bytes(double(m.total_bytes)) << " (high water "
        << format_bytes(double(m.high_water_bytes)) << ", " << m.alloc_count
-       << " allocations). Probe cost " << fmt3(m.probe_s) << " s of " << fmt3(m.step_s)
-       << " s stepped (" << fmt_pct(m.probe_overhead) << " overhead).\n\n";
+       << " allocations).\n\n";
     os << "| subsystem | bytes |\n|---|---:|\n";
     os << "| level-0 + MR fields | " << format_bytes(double(m.fields_bytes + m.mr_bytes))
        << " |\n";
@@ -454,52 +535,6 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
       os << ".\n\n";
     }
   }
-
-  // --- kernel headroom ----------------------------------------------------
-  if (report.kernel.enabled) {
-    const auto& k = report.kernel;
-    os << "## Kernel headroom";
-    if (!k.machine.empty()) { os << " (" << k.machine << ")"; }
-    os << "\n\n";
-    os << "Profiler totals of the particle kernels over every step, on the "
-          "analytic cold-cache byte model.\n\n";
-    if (!k.kernels.empty()) {
-      os << "| kernel | invocations | particles | time | GB/s | intensity | "
-            "roof TFlop/s | bound | attainment |\n"
-         << "|---|---:|---:|---:|---:|---:|---:|---|---:|\n";
-      for (const auto& r : k.kernels) {
-        os << "| " << r.kernel << " | " << r.invocations << " | " << r.particles
-           << " | " << fmt_us(r.time_s) << " | " << fmt3(r.gbyte_s) << " | "
-           << fmt3(r.intensity) << " | " << fmt3(r.roof_tflops) << " | "
-           << (r.memory_bound ? "memory" : "compute") << " | "
-           << (r.time_s > 0 ? fmt_pct(r.attainment) : std::string("-")) << " |\n";
-      }
-      os << "\n";
-    }
-    if (k.overlap_steps > 0) {
-      os << "Halo phase timeline (critical rank, mean over " << k.overlap_steps
-         << " steps): post " << fmt_us(k.mean_post_s) << ", wait "
-         << fmt_us(k.mean_wait_s) << ", interior compute "
-         << fmt_us(k.mean_interior_compute_s) << " -> overlap headroom **"
-         << fmt_us(k.mean_overlap_headroom_s) << "** per step (recoverable by "
-         << "overlapping interior work with halo waits).\n\n";
-    }
-  }
-
-  // --- roofline -----------------------------------------------------------
-  if (!report.roofline.empty()) {
-    os << "## Roofline attribution";
-    if (!report.machine.empty()) { os << " (" << report.machine << ")"; }
-    os << "\n\n| kernel | flops | bytes | intensity | roof TFlop/s | bound | attainment |\n"
-       << "|---|---:|---:|---:|---:|---|---:|\n";
-    for (const auto& k : report.roofline) {
-      os << "| " << k.kernel << " | " << fmt3(k.flops) << " | " << fmt3(k.bytes) << " | "
-         << fmt3(k.intensity) << " | " << fmt3(k.roof_tflops) << " | "
-         << (k.memory_bound ? "memory" : "compute") << " | "
-         << (k.time_s > 0 ? fmt_pct(k.attainment) : std::string("-")) << " |\n";
-    }
-    os << "\n";
-  }
 }
 
 bool write_markdown(const PerfReport& report, const std::string& path) {
@@ -516,6 +551,24 @@ void write_json(const PerfReport& report, std::ostream& os) {
   w.field("title", report.title);
   w.field("nranks", report.nranks);
   w.field("latency_s", report.latency_s);
+
+  if (report.measured()) {
+    const auto& t = report.time;
+    w.begin_object("time").field("steps", t.steps).field("step_s", t.step_s);
+    w.begin_array("regions");
+    for (const auto& r : t.regions) {
+      w.begin_object()
+          .field("region", r.region)
+          .field("parent", r.parent)
+          .field("seconds", r.seconds)
+          .field("count", r.count)
+          .field("ms_per_step", r.ms_per_step)
+          .field("share", r.share)
+          .end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
 
   const auto& s = report.summary;
   w.begin_object("summary")
@@ -561,9 +614,6 @@ void write_json(const PerfReport& report, std::ostream& os) {
         .field("samples", h.samples)
         .field("alerts", h.alerts)
         .field("critical_alerts", h.critical_alerts)
-        .field("probe_s", h.probe_s)
-        .field("step_s", h.step_s)
-        .field("probe_overhead", h.probe_overhead)
         .field("energy_drift", h.energy_drift)
         .field("max_gauss_residual", h.max_gauss_residual)
         .field("max_continuity_residual", h.max_continuity_residual)
@@ -576,9 +626,6 @@ void write_json(const PerfReport& report, std::ostream& os) {
     const auto& b = report.beam;
     w.begin_object("beam_physics")
         .field("records", b.records)
-        .field("probe_s", b.probe_s)
-        .field("step_s", b.step_s)
-        .field("probe_overhead", b.probe_overhead)
         .field("emit_ny", b.emit_ny)
         .field("beam_charge_C", b.beam_charge_C)
         .field("mean_gamma", b.mean_gamma)
@@ -603,10 +650,7 @@ void write_json(const PerfReport& report, std::ostream& os) {
         .field("pml_bytes", m.pml_bytes)
         .field("checkpoint_hw_bytes", m.checkpoint_hw_bytes)
         .field("insitu_stream_bytes", m.insitu_stream_bytes)
-        .field("alloc_count", m.alloc_count)
-        .field("probe_s", m.probe_s)
-        .field("step_s", m.step_s)
-        .field("probe_overhead", m.probe_overhead);
+        .field("alloc_count", m.alloc_count);
     if (m.has_savings) {
       w.field("mr_savings_measured", m.measured.factor)
           .field("mr_savings_analytic", m.analytic.factor)
@@ -625,7 +669,7 @@ void write_json(const PerfReport& report, std::ostream& os) {
     w.end_object();
   }
 
-  if (report.kernel.enabled) {
+  if (report.measured()) {
     const auto& k = report.kernel;
     w.begin_object("kernel_headroom").field("machine", k.machine);
     w.begin_array("kernels");
@@ -656,26 +700,6 @@ void write_json(const PerfReport& report, std::ostream& os) {
     w.end_object();
   }
 
-  if (!report.roofline.empty()) {
-    w.field("machine", report.machine);
-    w.begin_array("roofline");
-    for (const auto& k : report.roofline) {
-      w.begin_object()
-          .field("kernel", k.kernel)
-          .field("flops", k.flops)
-          .field("bytes", k.bytes)
-          .field("intensity", k.intensity)
-          .field("peak_tflops", k.peak_tflops)
-          .field("peak_tbyte_s", k.peak_tbyte_s)
-          .field("roof_tflops", k.roof_tflops)
-          .field("memory_bound", k.memory_bound)
-          .field("time_s", k.time_s)
-          .field("attained_tflops", k.attained_tflops)
-          .field("attainment", k.attainment)
-          .end_object();
-    }
-    w.end_array();
-  }
   w.end_object();
   os << '\n';
 }

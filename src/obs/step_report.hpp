@@ -3,10 +3,9 @@
 // StepReport — the per-step summary Simulation<DIM>::step() publishes after
 // every PIC cycle: wall time, work volumes, and the per-region second
 // breakdown for exactly this step (the difference of the profiler's flat
-// totals across the step). The load balancers and scaling benches consume
-// these instead of re-deriving cost from particle counts, mirroring the
-// measured-cost instrumentation the paper's Sec. V.C load balancing relies
-// on.
+// totals across the step). The mrpic_run driver and perfbench read it. The
+// load balancer does not: the step feeds it box_cost_heuristic() (cells and
+// particles per box), not these measured seconds.
 
 #include <cstdint>
 #include <map>

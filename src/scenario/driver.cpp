@@ -11,17 +11,11 @@
 #include "src/diag/csv_writer.hpp"
 #include "src/health/watchdog.hpp"
 #include "src/io/checkpoint.hpp"
-#include "src/obs/analysis.hpp"
 #include "src/obs/event_log.hpp"
 #include "src/obs/heartbeat.hpp"
 #include "src/obs/perf_report.hpp"
-#include "src/obs/rank_recorder_io.hpp"
 #include "src/obs/run_manifest.hpp"
 #include "src/obs/trace.hpp"
-#include "src/particles/deposition.hpp"
-#include "src/particles/gather.hpp"
-#include "src/particles/pusher.hpp"
-#include "src/perf/flop_counter.hpp"
 #include "src/perf/machine.hpp"
 #include "src/scenario/builder.hpp"
 #include "src/scenario/registry.hpp"
@@ -56,8 +50,6 @@ ParseResult parse_options(int argc, char** argv) {
     } else if (std::strcmp(a, "--node-budget-gb") == 0 && i + 1 < argc) {
       r.opt.node_budget_gb = std::atof(argv[++i]);
       r.opt.memory = true;
-    } else if (std::strcmp(a, "--kernel-obs") == 0) {
-      r.opt.kernel_obs = true;
     } else if (std::strcmp(a, "--no-mr") == 0) {
       r.opt.no_mr = true;
     } else if (std::strcmp(a, "--run-id") == 0 && i + 1 < argc) {
@@ -90,7 +82,6 @@ std::vector<std::string> normalized_flags(const RunOptions& opt) {
   if (opt.node_budget_gb > 0) {
     f.push_back("--node-budget-gb " + std::to_string(opt.node_budget_gb));
   }
-  if (opt.kernel_obs) { f.push_back("--kernel-obs"); }
   if (opt.no_mr) { f.push_back("--no-mr"); }
   if (opt.heartbeat != 5) { f.push_back("--heartbeat " + std::to_string(opt.heartbeat)); }
   return f;
@@ -150,7 +141,6 @@ void print_usage(const char* prog) {
       "  --insitu              in-situ physics series + streaming exporter\n"
       "  --memory              byte ledger, per-rank memory model, MR savings\n"
       "  --node-budget-gb G    OOM headroom vs a G-GiB per-rank budget (implies --memory)\n"
-      "  --kernel-obs          \"Kernel headroom\" section: profiler kernel totals on a roofline\n"
       "  --no-mr               strip the scenario's MR patch\n"
       "  --run-id ID           run id recorded in the run.json manifest (default:\n"
       "                        generated <scenario>-<time>-<pid>-<n>)\n"
@@ -183,7 +173,6 @@ RunTelemetry::RunTelemetry(const ScenarioSpec& spec, const RunOptions& opt,
   m_context.add_artifact("trace", out.path(pfx + "_trace.json"));
   m_context.add_artifact("metrics", out.path(pfx + "_metrics.jsonl"));
   m_context.add_artifact("rank_heatmap", out.path("rank_heatmap.csv"));
-  m_context.add_artifact("ranks", out.path(pfx + "_ranks.json"));
   m_context.add_artifact("perf_report_md", out.path(pfx + "_perf_report.md"));
   m_context.add_artifact("perf_report_json", out.path(pfx + "_perf_report.json"));
   if (opt.insitu) { m_context.add_artifact("insitu", out.path(pfx + "_insitu.jsonl")); }
@@ -368,54 +357,35 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
                           out.path(pfx + "_trace.json"), spec.name);
   sim.metrics().write_jsonl(out.path(pfx + "_metrics.jsonl"));
   sim.rank_recorder().write_rank_heatmap_csv(out.path("rank_heatmap.csv"));
-  obs::write_recorder_json(sim.rank_recorder(), out.path(pfx + "_ranks.json"));
 
+  // The run's one report: what the profiler measured first, then the
+  // virtual cluster's model of the same steps.
   obs::PerfReportOptions ropt;
   ropt.title = spec.title.empty() ? spec.name : spec.name + " — " + spec.title;
   ropt.latency_s = cluster::CommModel{}.latency_s;
   auto report = obs::build_perf_report(sim.rank_recorder(), ropt);
-  std::string sections = "attribution";
+  report.time = obs::time_breakdown(sim.profiler());
+  report.kernel = obs::summarize_kernels(
+      sim.profiler(), sim.metrics().counter_value("particles_pushed"), spec.sim.shape_order, 2,
+      perf::machine_by_name("Summit"), &sim.rank_recorder());
+  std::string sections = "where the time went, kernel headroom, attribution";
   if (opt.health) {
-    report.health = obs::summarize_health(*sim.health(), sim.profiler());
+    report.health = obs::summarize_health(*sim.health());
     sim.health()->write_ledger_jsonl(out.path(pfx + "_health.jsonl"));
     sections += ", health";
   }
   if (opt.insitu) {
-    report.beam = obs::summarize_insitu(*sim.insitu(), sim.profiler(), sim.insitu_stream());
+    report.beam = obs::summarize_insitu(*sim.insitu(), sim.insitu_stream());
     sections += ", beam physics";
   }
   if (opt.memory) {
     const auto measured = sim.measured_mr_savings();
     const auto analytic = obs::analytic_mr_savings(sim.mr_savings_inputs());
-    report.memory = obs::summarize_memory(obs::memory_ledger(), sim.profiler(), &measured,
-                                          &analytic, &sim.rank_recorder(),
-                                          sim.memory_obs_config().budget_bytes());
+    report.memory =
+        obs::summarize_memory(obs::memory_ledger(), &measured, &analytic, &sim.rank_recorder(),
+                              sim.memory_obs_config().budget_bytes());
     sim.rank_recorder().write_memory_heatmap_csv(out.path("memory_heatmap.csv"));
     sections += ", memory";
-  }
-  if (opt.kernel_obs) {
-    report.kernel = obs::summarize_kernels(
-        sim.profiler(), sim.metrics().counter_value("particles_pushed"),
-        spec.sim.shape_order, 2, perf::machine_by_name("Summit"), &sim.rank_recorder());
-    sections += ", kernel headroom";
-  }
-  {
-    const auto& rep = sim.last_step_report();
-    perf::FlopCounter fc;
-    fc.record("gather", particles::gather_flops_per_particle(spec.sim.shape_order, 2) *
-                            rep.particles_pushed);
-    fc.record("push", particles::push_flops_per_particle() * rep.particles_pushed);
-    fc.record("deposition",
-              particles::deposit_flops_per_particle(spec.sim.shape_order, 2) *
-                  rep.particles_pushed);
-    fc.record("field_solve",
-              fields::FDTDSolver<2>::flops_per_cell() * rep.cells_advanced);
-    report.machine = "Summit";
-    report.roofline = obs::analysis::roofline(
-        fc,
-        obs::analysis::pic_kernel_bytes(static_cast<double>(rep.particles_pushed),
-                                        static_cast<double>(rep.cells_advanced)),
-        perf::machine_by_name(report.machine));
   }
   obs::write_markdown(report, out.path(pfx + "_perf_report.md"));
   obs::write_json(report, out.path(pfx + "_perf_report.json"));
@@ -424,9 +394,8 @@ int run_scenario(const ScenarioSpec& spec_in, const RunOptions& opt,
 
   sim.profiler().report(std::cout);
   std::printf("wrote %s_{history,field}.csv, %s_trace.json, %s_metrics.jsonl, "
-              "%s_ranks.json, %s_perf_report.{md,json} in %s/\n",
-              pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(),
-              out.dir().c_str());
+              "%s_perf_report.{md,json} in %s/\n",
+              pfx.c_str(), pfx.c_str(), pfx.c_str(), pfx.c_str(), out.dir().c_str());
   std::printf("perf report sections: %s\n", sections.c_str());
   std::printf("run %s: status %s (%lld timeline events), manifest %s\n", tel.run_id().c_str(),
               status.c_str(), static_cast<long long>(tel.events().num_events()),

@@ -8,8 +8,8 @@
 //
 //   mrpic_run --list
 //   mrpic_run --scenario <name> [--steps N] [--outdir DIR] [--health]
-//             [--insitu] [--memory] [--node-budget-gb G] [--kernel-obs]
-//             [--no-mr] [--run-id ID] [--heartbeat N] [t_end_fs]
+//             [--insitu] [--memory] [--node-budget-gb G] [--no-mr]
+//             [--run-id ID] [--heartbeat N] [t_end_fs]
 //
 // Every run additionally emits campaign telemetry into the outdir: a
 // run.json manifest (obs::RunContext, finalized atomically at exit with
@@ -38,7 +38,6 @@ struct RunOptions {
   bool health = false;       // invariant ledger + watchdog (src/health)
   bool insitu = false;       // physics registry + streaming (src/insitu)
   bool memory = false;       // byte ledger + per-rank model (src/obs/memory)
-  bool kernel_obs = false;   // "Kernel headroom" report section (profiler totals)
   bool no_mr = false;        // strip the spec's MR patch
   double node_budget_gb = 0; // OOM headroom budget; implies memory
   // Campaign telemetry (run manifest + event timeline are always on).
@@ -81,8 +80,7 @@ private:
 // profiling and `tel`'s event log always; the byte ledger every step
 // (memory), health at the spec's cadences, and the insitu series and stream
 // at the spec's cadences under `out` (insitu; without it the registry stays
-// armed with every cadence off, for the final beam summary). --kernel-obs
-// attaches nothing: its report section reads the profiler. Returns the
+// armed with every cadence off, for the final beam summary). Returns the
 // initialized simulation.
 std::unique_ptr<core::Simulation<2>> build_observed_simulation(const ScenarioSpec& spec,
                                                                const RunOptions& opt,

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "src/core/simulation.hpp"
+#include "src/obs/perf_report.hpp"
 
 namespace mrpic::core {
 namespace {
@@ -277,6 +279,38 @@ TEST(Simulation, StepReportRegionsMatchFlatTotalDifferences) {
   for (const char* region : {"step", "particles", "gather", "push", "deposit", "current_sync",
                              "field_solve", "exchange", "fdtd", "pml", "patch", "mr_aux"}) {
     EXPECT_GT(sim.last_step_report().region(region), 0.0) << region;
+  }
+}
+
+// The perf report's time table on a PML + MR run: the rows in `step`, its
+// unattributed time included, sum to `step`, and each row is its profiler
+// node's total.
+TEST(Simulation, TimeBreakdownRowsSumToStep) {
+  Simulation<2> sim(open_config());
+  sim.enable_mr_patch(small_patch());
+  plasma::InjectorConfig<2> inj;
+  inj.density = plasma::uniform<2>(1e23);
+  sim.add_species(particles::Species::electron(), inj);
+  sim.init();
+  sim.run(5);
+
+  const auto t = obs::time_breakdown(sim.profiler());
+  EXPECT_EQ(t.steps, 5);
+  EXPECT_EQ(t.step_s, sim.profiler().stats("step").inclusive_s);
+  double in_step = 0;
+  std::set<std::string> rows;
+  for (const auto& r : t.regions) {
+    rows.insert(r.region);
+    if (r.parent == "step") { in_step += r.seconds; }
+    if (r.parent == "step" && r.region != "step (unattributed)") {
+      EXPECT_EQ(r.seconds, sim.profiler().stats("step/" + r.region).inclusive_s) << r.region;
+    }
+  }
+  EXPECT_NEAR(in_step, t.step_s, 1e-12);
+  for (const char* region : {"step", "particles", "gather", "push", "deposit", "current_sync",
+                             "field_solve", "exchange", "fdtd", "pml", "patch", "mr_aux",
+                             "step (unattributed)"}) {
+    EXPECT_EQ(rows.count(region), 1u) << region;
   }
 }
 

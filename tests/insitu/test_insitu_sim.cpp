@@ -158,11 +158,14 @@ TEST(InsituSmoke, PipelineEndToEnd) {
   EXPECT_EQ(final_beam->step, sim.step_count());
   EXPECT_GT(final_beam->value("count"), 0);
 
-  // The perf-report section summarizes the same registry + stream counters.
-  const auto section = obs::summarize_insitu(reg, sim.profiler(), sw);
+  // The perf-report section summarizes the same registry + stream counters;
+  // the diagnostics' cost is the "insitu" row of the report's time table.
+  const auto section = obs::summarize_insitu(reg, sw);
   EXPECT_TRUE(section.enabled);
   EXPECT_EQ(section.records, reg.num_records());
-  EXPECT_GT(section.probe_s, 0.0);
+  const double insitu_s = obs::time_breakdown(sim.profiler()).seconds("insitu");
+  EXPECT_GT(insitu_s, 0.0);
+  EXPECT_EQ(insitu_s, sim.profiler().flat_totals().at("insitu").inclusive_s);
   EXPECT_TRUE(std::isfinite(section.emit_ny));
   EXPECT_EQ(section.stream_frames, sw->frames_written());
 

@@ -7,7 +7,6 @@
 #include "src/dist/distribution_mapping.hpp"
 #include "src/obs/analysis.hpp"
 #include "src/obs/rank_recorder.hpp"
-#include "src/perf/flop_counter.hpp"
 #include "src/perf/machine.hpp"
 #include "src/perf/scaling_model.hpp"
 
@@ -252,45 +251,6 @@ TEST(AnalysisRoofline, PlacementAgainstMachinePeaks) {
   const auto timed = roofline_point("gather", 1e12, 1e12, m, /*time_s=*/1.0);
   EXPECT_NEAR(timed.attained_tflops, 1.0, 1e-12);
   EXPECT_NEAR(timed.attainment, 1.0 / timed.roof_tflops, 1e-12);
-}
-
-TEST(AnalysisRoofline, PicKernelBytesMatchStepTimeModelAggregate) {
-  const double p = 1e6, c = 2e5;
-  const auto bytes = pic_kernel_bytes(p, c);
-  double particle_bytes = 0;
-  for (const auto& [k, v] : bytes) {
-    if (k != "field_solve") { particle_bytes += v; }
-  }
-  // Stage split must re-aggregate to StepTimeModel's 5000 B/particle +
-  // 400 B/cell effective traffic.
-  EXPECT_DOUBLE_EQ(particle_bytes, 5000.0 * p);
-  EXPECT_DOUBLE_EQ(bytes.at("field_solve"), 400.0 * c);
-  // Mixed precision scales every stage by the model's 0.6 traffic factor.
-  const auto mp = pic_kernel_bytes(p, c, true);
-  EXPECT_DOUBLE_EQ(mp.at("gather"), 0.6 * bytes.at("gather"));
-}
-
-TEST(AnalysisRoofline, FlopCounterKernelsArePlaced) {
-  const auto& m = perf::machine_by_name("Frontier");
-  perf::FlopCounter fc;
-  fc.record("gather", std::int64_t(4e9));
-  fc.record("push", std::int64_t(1e9));
-  fc.record("mystery", std::int64_t(1e6)); // no traffic metadata
-  const auto points =
-      roofline(fc, pic_kernel_bytes(1e6, 2e5), m, {{"gather", 0.001}});
-  ASSERT_EQ(points.size(), 3u);
-  for (const auto& p : points) {
-    if (p.kernel == "gather") {
-      EXPECT_DOUBLE_EQ(p.flops, 4e9);
-      EXPECT_DOUBLE_EQ(p.bytes, 2400.0 * 1e6);
-      EXPECT_GT(p.attainment, 0.0); // measured time supplied
-    } else if (p.kernel == "mystery") {
-      // Placed at the ridge point, flagged by bytes == 0.
-      EXPECT_DOUBLE_EQ(p.bytes, 0.0);
-      EXPECT_DOUBLE_EQ(p.intensity, m.dp_tflops_device / m.tbyte_s_device);
-      EXPECT_DOUBLE_EQ(p.time_s, 0.0);
-    }
-  }
 }
 
 } // namespace

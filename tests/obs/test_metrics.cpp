@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "src/obs/metrics.hpp"
-#include "src/perf/flop_counter.hpp"
 
 namespace mrpic::obs {
 namespace {
@@ -187,34 +185,6 @@ TEST(Metrics, RankSectionsRoundTripThroughJsonl) {
   ASSERT_EQ(back[0].ranks.size(), 2u);
   EXPECT_DOUBLE_EQ(back[0].ranks[1].at("comm_s"), 0.25);
   EXPECT_TRUE(back[1].ranks.empty());
-}
-
-TEST(Metrics, FlopCounterPublishesDeltas) {
-  perf::FlopCounter fc;
-  MetricsRegistry reg;
-  fc.record("gather", perf::OpCounts{10, 5, 0, 0, 0, 0});
-  fc.publish(reg);
-  EXPECT_EQ(reg.counter_value("flops.gather"), 15);
-  EXPECT_EQ(reg.counter_value("flops_total"), 15);
-  // Publishing again without new work adds nothing.
-  fc.publish(reg);
-  EXPECT_EQ(reg.counter_value("flops_total"), 15);
-  fc.record("gather", std::int64_t(100)); // raw flops -> `other` bucket
-  fc.publish(reg);
-  EXPECT_EQ(reg.counter_value("flops.gather"), 115);
-  EXPECT_EQ(reg.counter_value("flops_total"), 115);
-}
-
-TEST(FlopCounterObs, RawFlopsLandInOtherBucket) {
-  perf::FlopCounter fc;
-  fc.record("mystery", std::int64_t(250));
-  const auto& ops = fc.per_kernel().at("mystery");
-  EXPECT_EQ(ops.other, 250);
-  EXPECT_EQ(ops.add, 0); // previously misfiled under add
-  EXPECT_EQ(ops.flops(), 250);
-  std::ostringstream os;
-  fc.report(os);
-  EXPECT_NE(os.str().find("other 250"), std::string::npos);
 }
 
 } // namespace

@@ -1,21 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "src/obs/bench_diff.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/perf_report.hpp"
-#include "src/obs/rank_recorder_io.hpp"
+#include "src/obs/profiler.hpp"
 
 namespace mrpic::obs {
 namespace {
 
-// Two ranks, two steps, one inter-rank message per step, plus a rebalance
-// and a fault event so every array of the document is exercised.
-RankRecorder make_recorder() {
+// Two ranks, `steps` steps, one inter-rank message per step, plus a
+// rebalance and a fault event.
+RankRecorder make_recorder(std::int64_t steps = 2) {
   RankRecorder rec(2);
-  for (std::int64_t s = 0; s < 2; ++s) {
+  for (std::int64_t s = 0; s < steps; ++s) {
     RankStepBreakdown bd;
     bd.step = s;
     bd.ranks.resize(2);
@@ -62,64 +62,6 @@ RankRecorder make_recorder() {
   ev.detail = "rank 1 of 2";
   rec.add_fault_event(ev);
   return rec;
-}
-
-TEST(RankRecorderIo, RoundTripIsLossless) {
-  const auto rec = make_recorder();
-  std::ostringstream os;
-  write_recorder_json(rec, os);
-  const auto back = read_recorder_json(os.str());
-
-  EXPECT_EQ(back.nranks(), rec.nranks());
-  ASSERT_EQ(back.steps().size(), rec.steps().size());
-  for (std::size_t s = 0; s < rec.steps().size(); ++s) {
-    const auto& a = rec.steps()[s];
-    const auto& b = back.steps()[s];
-    EXPECT_EQ(a.step, b.step);
-    ASSERT_EQ(a.ranks.size(), b.ranks.size());
-    for (std::size_t r = 0; r < a.ranks.size(); ++r) {
-      EXPECT_EQ(a.ranks[r].rank, b.ranks[r].rank);
-      EXPECT_DOUBLE_EQ(a.ranks[r].compute_s, b.ranks[r].compute_s);
-      EXPECT_DOUBLE_EQ(a.ranks[r].comm_s, b.ranks[r].comm_s);
-      EXPECT_DOUBLE_EQ(a.ranks[r].retry_s, b.ranks[r].retry_s);
-      EXPECT_EQ(a.ranks[r].bytes_sent, b.ranks[r].bytes_sent);
-      EXPECT_EQ(a.ranks[r].bytes_recv, b.ranks[r].bytes_recv);
-      EXPECT_EQ(a.ranks[r].messages, b.ranks[r].messages);
-      EXPECT_EQ(a.ranks[r].retries, b.ranks[r].retries);
-      EXPECT_EQ(a.ranks[r].boxes, b.ranks[r].boxes);
-    }
-  }
-  ASSERT_EQ(back.messages().size(), rec.messages().size());
-  for (std::size_t i = 0; i < rec.messages().size(); ++i) {
-    const auto& a = rec.messages()[i];
-    const auto& b = back.messages()[i];
-    EXPECT_EQ(a.step, b.step);
-    EXPECT_EQ(a.src_rank, b.src_rank);
-    EXPECT_EQ(a.dst_rank, b.dst_rank);
-    EXPECT_EQ(a.src_box, b.src_box);
-    EXPECT_EQ(a.dst_box, b.dst_box);
-    EXPECT_EQ(a.bytes, b.bytes);
-    EXPECT_DOUBLE_EQ(a.latency_s, b.latency_s);
-    EXPECT_DOUBLE_EQ(a.transfer_s, b.transfer_s);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_DOUBLE_EQ(a.retry_s, b.retry_s);
-  }
-  ASSERT_EQ(back.rebalances().size(), 1u);
-  EXPECT_EQ(back.rebalances()[0].step, 1);
-  EXPECT_DOUBLE_EQ(back.rebalances()[0].imbalance_before, 1.6);
-  ASSERT_EQ(back.rebalances()[0].rank_cost_before.size(), 2u);
-  ASSERT_EQ(back.fault_events().size(), 1u);
-  EXPECT_EQ(back.fault_events()[0].kind, "slowdown");
-  EXPECT_EQ(back.fault_events()[0].detail, "rank 1 of 2");
-}
-
-TEST(RankRecorderIo, RejectsForeignDocuments) {
-  EXPECT_THROW(read_recorder_json(std::string("{\"bench\":\"kernels\"}")),
-               std::runtime_error);
-  EXPECT_THROW(read_recorder_json(
-                   std::string("{\"format\":\"mrpic-ranks\",\"version\":99}")),
-               std::runtime_error);
-  EXPECT_THROW(read_recorder_json(std::string("not json")), std::runtime_error);
 }
 
 TEST(PerfReport, BuildExtractsPathsAndOverheads) {
@@ -172,7 +114,137 @@ TEST(PerfReport, MarkdownNamesChainAndComposition) {
   EXPECT_NE(md.find("Critical-path composition"), std::string::npos);
   EXPECT_NE(md.find("Straggler ranks"), std::string::npos);
   EXPECT_NE(md.find("0 -> 1"), std::string::npos); // the rank chain
-  EXPECT_NE(md.find("Per-step parallel overhead"), std::string::npos);
+  // The top-k table carries each step's overhead split, plus the median.
+  EXPECT_NE(md.find("| efficiency | imbalance | rank chain |"), std::string::npos);
+  EXPECT_NE(md.find(" (p50) |"), std::string::npos);
+  EXPECT_EQ(md.find("Per-step parallel overhead"), std::string::npos);
+  // A recorder-only report carries no measured section and says the rest
+  // is modelled.
+  EXPECT_NE(md.find("Modelled, not measured"), std::string::npos);
+  EXPECT_EQ(md.find("## Where the time went"), std::string::npos);
+  EXPECT_EQ(md.find("## Kernel headroom"), std::string::npos);
+}
+
+// The Markdown lists the worst steps and the median, never every step, so
+// its size does not grow with the step count; the JSON keeps every step.
+TEST(PerfReport, MarkdownStaysBoundedAt2000Steps) {
+  Profiler prof;
+  for (int i = 0; i < 2000; ++i) {
+    auto step = prof.scope("step");
+    auto particles = prof.scope("particles");
+    for (const char* kernel : {"gather", "push", "deposit"}) { auto t = prof.scope(kernel); }
+  }
+  auto report = build_perf_report(make_recorder(2000));
+  report.time = time_breakdown(prof);
+  report.kernel = summarize_kernels(prof, 2000, 2, 2, perf::machine_by_name("Summit"));
+  std::ostringstream md;
+  write_markdown(report, md);
+  EXPECT_LE(md.str().size(), 20u * 1024u);
+  EXPECT_NE(md.str().find("## Where the time went"), std::string::npos);
+  EXPECT_NE(md.str().find("## Kernel headroom"), std::string::npos);
+
+  std::ostringstream js;
+  write_json(report, js);
+  const auto doc = json::parse(js.str());
+  EXPECT_EQ(doc["critical_path"].as_array().size(), 2000u);
+  EXPECT_EQ(doc["loss"].as_array().size(), 2000u);
+}
+
+// "## Where the time went" walks the profiler's tree: step, its regions
+// (each followed by its own sub-regions), the step's unattributed time,
+// then the other roots. The rows in `step` sum to `step`.
+TEST(PerfReport, TimeBreakdownFollowsProfilerTree) {
+  Profiler prof;
+  for (int i = 0; i < 3; ++i) {
+    auto step = prof.scope("step");
+    {
+      auto particles = prof.scope("particles");
+      for (const char* kernel : {"gather", "push", "deposit"}) { auto t = prof.scope(kernel); }
+    }
+    auto fields = prof.scope("field_solve");
+    auto fdtd = prof.scope("fdtd");
+  }
+  { auto ckpt = prof.scope("checkpoint"); }
+
+  const auto t = time_breakdown(prof);
+  const auto step = prof.stats("step");
+  EXPECT_EQ(t.steps, 3);
+  EXPECT_EQ(t.step_s, step.inclusive_s);
+  ASSERT_EQ(t.regions.size(), 9u);
+  EXPECT_EQ(t.regions.front().region, "step");
+  EXPECT_EQ(t.regions.front().parent, "");
+  EXPECT_DOUBLE_EQ(t.regions.front().ms_per_step, step.mean_s() * 1e3);
+  EXPECT_DOUBLE_EQ(t.regions.front().share, 1.0);
+  EXPECT_EQ(t.regions[7].region, "step (unattributed)");
+  EXPECT_EQ(t.regions[7].parent, "step");
+  EXPECT_EQ(t.regions[7].count, 0);
+  EXPECT_EQ(t.regions[8].region, "checkpoint");
+  EXPECT_EQ(t.regions[8].parent, "");
+  EXPECT_EQ(t.regions[8].count, 1);
+
+  double in_step = 0;
+  for (const auto& r : t.regions) {
+    if (r.parent == "step") { in_step += r.seconds; }
+    if (r.region == "gather" || r.region == "push" || r.region == "deposit") {
+      EXPECT_EQ(r.parent, "particles") << r.region;
+      EXPECT_EQ(r.count, 3) << r.region;
+      EXPECT_EQ(r.seconds, prof.stats("step/particles/" + r.region).inclusive_s) << r.region;
+    }
+    if (r.region == "fdtd") { EXPECT_EQ(r.parent, "field_solve"); }
+    EXPECT_DOUBLE_EQ(r.ms_per_step, r.seconds / 3 * 1e3) << r.region;
+    EXPECT_DOUBLE_EQ(r.share, r.seconds / t.step_s) << r.region;
+  }
+  EXPECT_NEAR(in_step, t.step_s, 1e-12);
+  // A sub-region follows its parent.
+  for (std::size_t i = 1; i < t.regions.size(); ++i) {
+    if (t.regions[i].parent == "particles") {
+      EXPECT_TRUE(t.regions[i - 1].region == "particles" ||
+                  t.regions[i - 1].parent == "particles");
+    }
+  }
+  EXPECT_EQ(t.seconds("checkpoint"), prof.stats("checkpoint").inclusive_s);
+  EXPECT_EQ(t.seconds("not_a_region"), 0.0);
+
+  // The report opens with the table; the JSON twin carries every row.
+  auto report = build_perf_report(make_recorder());
+  report.time = t;
+  report.kernel = summarize_kernels(prof, 300, 2, 2, perf::machine_by_name("Summit"));
+  std::ostringstream md;
+  write_markdown(report, md);
+  const std::string text = md.str();
+  EXPECT_EQ(text.find("## "), text.find("## Where the time went"));
+  EXPECT_NE(text.find("| gather | particles |"), std::string::npos);
+  EXPECT_NE(text.find("| step (unattributed) | step |"), std::string::npos);
+  EXPECT_LT(text.find("## Kernel headroom"), text.find("## Critical-path composition"));
+  EXPECT_NE(text.find("measured "), std::string::npos);
+  EXPECT_EQ(text.find("Roofline attribution"), std::string::npos);
+
+  std::ostringstream js;
+  write_json(report, js);
+  const auto doc = json::parse(js.str());
+  EXPECT_TRUE(benchdiff::validate_schema(doc).empty());
+  ASSERT_TRUE(doc["time"].is_object());
+  EXPECT_EQ(doc["time"]["steps"].as_int(), 3);
+  const auto& regions = doc["time"]["regions"].as_array();
+  ASSERT_EQ(regions.size(), t.regions.size());
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    EXPECT_EQ(regions[i]["region"].as_string(), t.regions[i].region);
+    EXPECT_EQ(regions[i]["parent"].as_string(), t.regions[i].parent);
+    EXPECT_EQ(regions[i]["count"].as_int(), t.regions[i].count);
+    EXPECT_DOUBLE_EQ(regions[i]["seconds"].as_number(), t.regions[i].seconds);
+    EXPECT_DOUBLE_EQ(regions[i]["ms_per_step"].as_number(), t.regions[i].ms_per_step);
+    EXPECT_DOUBLE_EQ(regions[i]["share"].as_number(), t.regions[i].share);
+  }
+  EXPECT_TRUE(doc["kernel_headroom"].is_object());
+  EXPECT_FALSE(doc.has("roofline"));
+  EXPECT_FALSE(doc.has("machine"));
+
+  // Without a profiler's regions the report carries neither measured key.
+  std::ostringstream bare;
+  write_json(build_perf_report(make_recorder()), bare);
+  const auto bare_doc = json::parse(bare.str());
+  EXPECT_FALSE(bare_doc.has("time"));
+  EXPECT_FALSE(bare_doc.has("kernel_headroom"));
 }
 
 TEST(PerfReport, ScalingLossesReplaceStepOverheadInJson) {

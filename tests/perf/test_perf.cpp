@@ -2,9 +2,9 @@
 
 #include <cmath>
 
-#include "src/perf/flop_counter.hpp"
 #include "src/perf/fom.hpp"
 #include "src/perf/machine.hpp"
+#include "src/perf/op_counts.hpp"
 #include "src/perf/scaling_model.hpp"
 
 namespace mrpic::perf {
@@ -115,18 +115,12 @@ TEST(Fom, HistoryTableShape) {
   EXPECT_EQ(rows.back().machine, "Frontier");
 }
 
-TEST(FlopCounter, AggregatesAndFmaCountsDouble) {
-  FlopCounter fc;
-  fc.record("gather", OpCounts{10, 5, 3, 1, 1});
-  fc.record("gather", OpCounts{0, 0, 1, 0, 0});
-  EXPECT_EQ(fc.kernel_flops("gather"), 10 + 5 + 2 * 4 + 1 + 1);
-  fc.record("push", 100);
-  EXPECT_EQ(fc.total_flops(), fc.kernel_flops("gather") + 100);
-  fc.reset();
-  EXPECT_EQ(fc.total_flops(), 0);
+TEST(OpCounts, FmaCountsTwice) {
+  EXPECT_EQ((OpCounts{10, 5, 3, 1, 1}).flops(), 10 + 5 + 2 * 3 + 1 + 1);
+  EXPECT_EQ((OpCounts{0, 0, 1, 0, 0}).flops(), 2);
 }
 
-TEST(FlopCounter, PicStageEstimates) {
+TEST(OpCounts, PicStageEstimates) {
   const auto pp = pic_flops_per_particle_3d(3);
   const auto pc = pic_flops_per_cell_3d();
   EXPECT_GT(pp.flops(), 500);  // order-3 3D gather+deposit is heavy
