@@ -26,6 +26,11 @@
 // orders' values, each sorted, must match element by element, and the two
 // J fields must agree to <= 1e-12 of max|J|; otherwise the bench exits 1.
 //
+// Beside the deposit rows, each tile prints its motion mix: the fractions of
+// particles that did not move, moved within their cell and crossed a cell
+// face. A particle that did not move skips the deposit's in-plane currents
+// (in 3D, all of them), so the deposit time depends on that mix.
+//
 // Run: ./bench_kernels [--json] [--quick] [--outdir DIR]
 //   --json   also write BENCH_kernels.json (into --outdir, default out/)
 //   --quick  shrink the 3D tile to 16^3 x 2 ppc (bench_smoke)
@@ -46,6 +51,7 @@
 #include "src/obs/json.hpp"
 #include "src/particles/deposition.hpp"
 #include "src/particles/gather.hpp"
+#include "src/particles/shape.hpp"
 #include "src/particles/sorting.hpp"
 
 using namespace mrpic;
@@ -72,6 +78,7 @@ struct TileResult {
   double gather_arrival_s = 0, gather_sorted_s = 0;   // per call
   double deposit_arrival_s = 0, deposit_sorted_s = 0; // per call
   double sort_s = 0;                                  // one sort of the tile
+  double still = 0, in_cell = 0, crossing = 0;        // motion mix, fractions
   double j_rel_diff = 0;  // max|J_sorted - J_arrival| / max|J_arrival|
   bool gather_match = false;
   bool ok() const { return gather_match && j_rel_diff <= kJTolerance; }
@@ -100,6 +107,33 @@ void old_positions(const particles::ParticleTile<DIM>& tile, Real dt,
         std::sqrt(1 + (ux * ux + uy * uy + uz * uz) / (constants::c * constants::c));
     for (int d = 0; d < DIM; ++d) { x_old[d][p] = tile.x[d][p] - tile.u[d][p] / gamma * dt; }
   }
+}
+
+// The tile's motion mix: particles whose position did not change, that
+// moved within their cell, and that crossed a face (their shape's first
+// index changed) in some direction.
+template <int DIM>
+void motion_mix(const particles::ParticleTile<DIM>& tile,
+                const std::array<std::vector<Real>, DIM>& x_old, const Geometry<DIM>& geom,
+                TileResult& r) {
+  std::int64_t still = 0, crossing = 0;
+  Real w[kOrder + 1];
+  for (std::size_t p = 0; p < tile.size(); ++p) {
+    bool moved = false, crossed = false;
+    for (int d = 0; d < DIM; ++d) {
+      const Real xo = (x_old[d][p] - geom.prob_lo()[d]) * geom.inv_dx()[d];
+      const Real xn = (tile.x[d][p] - geom.prob_lo()[d]) * geom.inv_dx()[d];
+      moved = moved || xo != xn;
+      crossed = crossed || particles::Shape<kOrder>::compute(w, xo) !=
+                               particles::Shape<kOrder>::compute(w, xn);
+    }
+    still += !moved;
+    crossing += crossed;
+  }
+  const double n = static_cast<double>(tile.size());
+  r.still = static_cast<double>(still) / n;
+  r.crossing = static_cast<double>(crossing) / n;
+  r.in_cell = 1 - r.still - r.crossing;
 }
 
 // Each gathered component's values in ascending order (the order-free
@@ -178,6 +212,7 @@ TileResult run_tile(const std::string& name, const IntVect<DIM>& n, int ppc) {
   r.particles = np;
 
   const auto j_arrival = run_order(r.gather_arrival_s, r.deposit_arrival_s);
+  motion_mix<DIM>(tile, x_old, geom, r);
   const auto g_arrival = sorted_values(gathered);
 
   // The sort's cost: the fastest sort of `passes` arrival-order copies.
@@ -214,6 +249,9 @@ void print_tile(const TileResult& r) {
   std::printf("  %-11s %14.6f %14.6f %8.2fx %15s\n", "Deposition", r.deposit_arrival_s,
               r.deposit_sorted_s, r.deposit_arrival_s / r.deposit_sorted_s,
               paper ? "4.60x" : "-");
+  std::printf("  deposit motion mix: still %.1f%%, within a cell %.1f%%, crossing a face "
+              "%.1f%%\n",
+              100 * r.still, 100 * r.in_cell, 100 * r.crossing);
   std::printf("  self-check: gathered values %s, max|dJ|/max|J| = %.2e (limit %.0e) -> %s\n",
               r.gather_match ? "match" : "DIFFER", r.j_rel_diff, kJTolerance,
               r.ok() ? "ok" : "FAIL");
@@ -256,6 +294,9 @@ void write_json(const std::vector<TileResult>& tiles, const std::string& path) {
         .field("sort_ns_per_particle", 1e9 * t.sort_s / double(t.particles))
         .field("j_rel_diff", t.j_rel_diff)
         .field("gather_match", t.gather_match)
+        .field("still_frac", t.still)
+        .field("in_cell_frac", t.in_cell)
+        .field("crossing_frac", t.crossing)
         .end_object();
   }
   w.end_array();

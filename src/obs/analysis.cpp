@@ -339,7 +339,8 @@ double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim) {
       return 6 * real_b + 2 * 3 * real_b + 2 * real_b * dim;
     case KernelKind::Deposit:
       // read x_old + x_new, read w, RMW 3 current components over the
-      // Esirkepov support.
+      // (order+2)^dim face-crossing window. An upper bound: a particle that
+      // did not move deposits only Jz in 2D and nothing in 3D (deposition.cpp).
       return 2 * real_b * dim + real_b + 6 * real_b * esirkepov_points;
   }
   return 0;

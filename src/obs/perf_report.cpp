@@ -334,7 +334,9 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
       os << "No particle kernel ran.\n\n";
     } else {
       os << "Profiler totals of the particle kernels over every step, on the "
-            "analytic cold-cache byte model.\n\n";
+            "analytic cold-cache byte model. The deposit row counts the (order+2)^dim "
+            "face-crossing window for every particle, an upper bound: a particle that did "
+            "not move deposits only Jz in 2D and nothing in 3D.\n\n";
       os << "| kernel | invocations | particles | time | GB/s | intensity | "
             "roof TFlop/s | bound | attainment |\n"
          << "|---|---:|---:|---:|---:|---:|---:|---|---:|\n";

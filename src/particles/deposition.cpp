@@ -43,6 +43,15 @@ struct ShapePair {
 // contiguous i-row of its window at a time, through a pointer to the row's
 // start. Prefix sums that run along y or z advance one row at a time, one
 // running sum per column.
+//
+// A particle that did not move (xi_old == xi_new in every direction) has
+// DS == +0 throughout: in 2D it deposits only Jz += cz (S0x S0y) over its
+// (ORDER+1)^2 shape, and in 3D nothing. This is bit-identical to the full
+// window. Every skipped term is a +-0 added to a J entry. That entry started
+// at +0 (zero_current) and has since been only a round-to-nearest sum, which
+// is -0 only when both addends are, so it is never -0 and x + (+-0) == x bit
+// for bit. The still bracket S0x S0y + (+0 S0y + S0x +0)/2 + (+0 +0)/3 equals
+// S0x S0y because B-spline weights are >= +0.
 template <int ORDER>
 void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real>, 2>& x_old,
                   const mrpic::Geometry<2>& geom, const Array4<Real>& J, Real charge,
@@ -54,9 +63,25 @@ void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real
 
   for (std::size_t p = 0; p < tile.size(); ++p) {
     const Real Q = charge * tile.w[p];
+    const Real xo = (x_old[0][p] - lo[0]) * idx[0], xn = (tile.x[0][p] - lo[0]) * idx[0];
+    const Real yo = (x_old[1][p] - lo[1]) * idx[1], yn = (tile.x[1][p] - lo[1]) * idx[1];
+    const Real u2 = tile.u[0][p] * tile.u[0][p] + tile.u[1][p] * tile.u[1][p] +
+                    tile.u[2][p] * tile.u[2][p];
+    const Real vz = tile.u[2][p] / std::sqrt(1 + u2 / (c * c));
+    const Real cz = Q * vz / (dxv * dyv);
+    if (xo == xn && yo == yn) { // did not move: Jz over the one shape
+      Real wx[ORDER + 1], wy[ORDER + 1];
+      const int i0 = Shape<ORDER>::compute(wx, xo);
+      const int j0 = Shape<ORDER>::compute(wy, yo);
+      for (int b = 0; b <= ORDER; ++b) {
+        Real* row = J.row(i0, j0 + b, 0, fields::Z, ORDER + 1);
+        for (int a = 0; a <= ORDER; ++a) { row[a] += cz * (wx[a] * wy[b]); }
+      }
+      continue;
+    }
     ShapePair<ORDER> sx, sy;
-    sx.compute((x_old[0][p] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
-    sy.compute((x_old[1][p] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
+    sx.compute(xo, xn);
+    sy.compute(yo, yn);
     const int i0 = sx.imin, j0 = sy.imin;
 
     // Jx: prefix sum along x of Wx = DSx * (S0y + DSy/2).
@@ -86,10 +111,6 @@ void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real
     }
     // Jz (out-of-plane): direct deposition with the time-averaged shape
     // bracket Wz = S0x S0y + (DSx S0y + S0x DSy)/2 + DSx DSy / 3.
-    const Real u2 = tile.u[0][p] * tile.u[0][p] + tile.u[1][p] * tile.u[1][p] +
-                    tile.u[2][p] * tile.u[2][p];
-    const Real vz = tile.u[2][p] / std::sqrt(1 + u2 / (c * c));
-    const Real cz = Q * vz / (dxv * dyv);
     for (int b = 0; b < NW; ++b) {
       Real* row = J.row(i0, j0 + b, 0, fields::Z, NW);
       for (int a = 0; a < NW; ++a) {
@@ -121,10 +142,18 @@ void esirkepov_3d(const ParticleTile<3>& tile, const std::array<std::vector<Real
 
   for (std::size_t p = 0; p < tile.size(); ++p) {
     const Real Q = charge * tile.w[p];
+    Real xi_old[3], xi_new[3];
+    for (int d = 0; d < 3; ++d) {
+      xi_old[d] = (x_old[d][p] - lo[d]) * idx[d];
+      xi_new[d] = (tile.x[d][p] - lo[d]) * idx[d];
+    }
+    if (xi_old[0] == xi_new[0] && xi_old[1] == xi_new[1] && xi_old[2] == xi_new[2]) {
+      continue; // did not move: every term is +-0
+    }
     ShapePair<ORDER> sx, sy, sz;
-    sx.compute((x_old[0][p] - lo[0]) * idx[0], (tile.x[0][p] - lo[0]) * idx[0]);
-    sy.compute((x_old[1][p] - lo[1]) * idx[1], (tile.x[1][p] - lo[1]) * idx[1]);
-    sz.compute((x_old[2][p] - lo[2]) * idx[2], (tile.x[2][p] - lo[2]) * idx[2]);
+    sx.compute(xi_old[0], xi_new[0]);
+    sy.compute(xi_old[1], xi_new[1]);
+    sz.compute(xi_old[2], xi_new[2]);
     const int i0 = sx.imin, j0 = sy.imin, k0 = sz.imin;
 
     const Real cx = -Q / (dyv * dzv * dt);
@@ -293,7 +322,8 @@ void deposit_charge(int order, const ParticleTile<DIM>& tile, const mrpic::Geome
 std::int64_t deposit_flops_per_particle(int order, int dim) {
   const int nw = order + 2;
   // Shape pairs: 2 evaluations per dim; brackets + prefix sums per window
-  // point; see esirkepov_*d above.
+  // point; see esirkepov_*d above. An upper bound for a particle that did
+  // not move.
   const std::int64_t shape_cost = 2 * dim * (order == 1 ? 2 : order == 2 ? 9 : 16);
   if (dim == 2) { return shape_cost + 2 * nw * (2 + 3 * (nw - 1)) + nw * nw * 9; }
   return shape_cost + 3 * nw * nw * (8 + 3 * (nw - 1));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 
@@ -442,7 +443,11 @@ mrpic::Geometry<DIM> offset_geom(int n) {
 // from the box's low corner: random sub-cell moves, moves across a cell
 // face, moves in the lowest half cell (the half-shifted stencils reach the
 // low ghost layer) and moves out through the low and high faces, as a
-// deposit before redistribution sees them.
+// deposit before redistribution sees them. Every motion class appears
+// explicitly: still in every direction, still along all axes but one and
+// along one axis only, within a cell, and across a face upward and downward
+// along each axis, both an integer face (orders 1 and 3) and a half-integer
+// one (order 2). Every particle has u != 0.
 template <int DIM>
 void crossing_particles(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>& box,
                         std::uint64_t seed, ParticleTile<DIM>& tile,
@@ -471,6 +476,20 @@ void crossing_particles(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>&
     to[0] = 1.6;
     place(from, to);
   }
+  const std::pair<Real, Real> axis_moves[] = {{3.3, 3.3}, {3.2, 3.45}, {3.9, 4.1},
+                                              {4.1, 3.9}, {3.4, 3.6},  {3.6, 3.4}};
+  for (int d = 0; d < DIM; ++d) {
+    for (const auto& [oa, ob] : {std::pair<Real, Real>{3.3, 3.3}, {3.2, 3.45}, {3.9, 4.1}}) {
+      for (const auto& [a, b] : axis_moves) {
+        std::array<Real, DIM> from, to;
+        from.fill(oa); // the other axes stay, move within a cell, or cross one
+        to.fill(ob);
+        from[d] = a;
+        to[d] = b;
+        place(from, to);
+      }
+    }
+  }
   std::uniform_real_distribution<Real> cell(0.0, n);
   for (int p = 0; p < 200; ++p) {
     std::array<Real, DIM> from, to;
@@ -482,12 +501,13 @@ void crossing_particles(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>&
   }
 }
 
+// Entries of fab m whose bit patterns differ, so a +0/-0 flip counts too.
 template <int DIM>
 std::size_t fab_mismatches(const mrpic::MultiFab<DIM>& a, const mrpic::MultiFab<DIM>& b,
                            int m) {
   std::size_t bad = 0;
   for (std::size_t n = 0; n < a.fab(m).size(); ++n) {
-    if (!(a.fab(m).data()[n] == b.fab(m).data()[n])) { ++bad; }
+    if (std::memcmp(a.fab(m).data() + n, b.fab(m).data() + n, sizeof(Real)) != 0) { ++bad; }
   }
   return bad;
 }
@@ -497,22 +517,28 @@ void check_deposits_match_per_tap(std::uint64_t seed) {
   const auto geom = offset_geom<DIM>(16);
   const auto ba = mrpic::BoxArray<DIM>::decompose(geom.domain(), 8);
   const int m = ba.size() - 1;
-  ParticleTile<DIM> tile;
-  std::array<std::vector<Real>, DIM> x_old;
-  crossing_particles<DIM>(geom, ba[m], seed, tile, x_old);
+  // Two tiles deposit into one J, so the kernels also accumulate.
+  ParticleTile<DIM> tiles[2];
+  std::array<std::vector<Real>, DIM> x_old[2];
+  for (int t = 0; t < 2; ++t) {
+    crossing_particles<DIM>(geom, ba[m], seed + 1000 * t, tiles[t], x_old[t]);
+  }
   const Real dt = 0.5 * geom.cell_size(0) / c;
   const Real q = -mrpic::constants::q_e;
 
   for (auto kind : {DepositionKind::Esirkepov, DepositionKind::Direct}) {
     mrpic::MultiFab<DIM> got(ba, 3, mrpic::default_num_ghost);
     mrpic::MultiFab<DIM> want(ba, 3, mrpic::default_num_ghost);
-    deposit_current<DIM>(kind, ORDER, tile, x_old, geom, got.array(m), q, dt);
-    if (kind == DepositionKind::Direct) {
-      ref::direct_deposit<DIM, ORDER>(tile, x_old, geom, want.array(m), q);
-    } else if constexpr (DIM == 2) {
-      ref::esirkepov_2d<ORDER>(tile, x_old, geom, want.array(m), q, dt);
-    } else {
-      ref::esirkepov_3d<ORDER>(tile, x_old, geom, want.array(m), q, dt);
+    for (int t = 0; t < 2; ++t) {
+      const auto& tile = tiles[t];
+      deposit_current<DIM>(kind, ORDER, tile, x_old[t], geom, got.array(m), q, dt);
+      if (kind == DepositionKind::Direct) {
+        ref::direct_deposit<DIM, ORDER>(tile, x_old[t], geom, want.array(m), q);
+      } else if constexpr (DIM == 2) {
+        ref::esirkepov_2d<ORDER>(tile, x_old[t], geom, want.array(m), q, dt);
+      } else {
+        ref::esirkepov_3d<ORDER>(tile, x_old[t], geom, want.array(m), q, dt);
+      }
     }
     EXPECT_GT(got.max_abs(0), 0.0);
     EXPECT_EQ(fab_mismatches(got, want, m), 0u)
@@ -522,8 +548,10 @@ void check_deposits_match_per_tap(std::uint64_t seed) {
 
   mrpic::MultiFab<DIM> got(ba, 1, mrpic::default_num_ghost);
   mrpic::MultiFab<DIM> want(ba, 1, mrpic::default_num_ghost);
-  deposit_charge<DIM>(ORDER, tile, geom, got.array(m), q);
-  ref::charge_impl<DIM, ORDER>(tile, geom, want.array(m), q);
+  for (int t = 0; t < 2; ++t) {
+    deposit_charge<DIM>(ORDER, tiles[t], geom, got.array(m), q);
+    ref::charge_impl<DIM, ORDER>(tiles[t], geom, want.array(m), q);
+  }
   EXPECT_EQ(fab_mismatches(got, want, m), 0u) << "charge order " << ORDER << " DIM " << DIM;
 }
 
