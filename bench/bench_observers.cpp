@@ -6,7 +6,7 @@
 //
 //  - health, insitu, memory, cluster observation: their rows of the perf
 //    report's time table (obs::time_breakdown);
-//  - telemetry: the run-telemetry trio (manifest, heartbeat every 5 steps,
+//  - telemetry: the run-telemetry trio (manifest, heartbeat every 25 steps,
 //    event log), timed directly around its calls.
 //
 // Exits 1 when memory, cluster observation, insitu or telemetry takes more

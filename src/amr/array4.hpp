@@ -4,10 +4,13 @@
 // mirroring AMReX's Array4. 2D data is viewed with k == the single index
 // kz_lo (stride 0 in k is not used; 2D fabs simply have k extent 1).
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "src/amr/box.hpp"
+#include "src/amr/config.hpp"
 
 namespace mrpic {
 
@@ -61,5 +64,23 @@ struct Array4 {
 
   constexpr explicit operator bool() const { return p != nullptr; }
 };
+
+// The span [lo, hi) of row[0, n) from its first to its last value that is
+// not +-0 (a NaN counts as nonzero); lo == hi when all n are +-0. The ends
+// are trimmed 8 values at a time while the 8 bit patterns, sign dropped,
+// OR to 0, then one value at a time, so a scan costs little per zero.
+inline std::pair<int, int> nonzero_span(const Real* row, int n) {
+  const auto zero8 = [row](int at) {
+    std::uint64_t any = 0;
+    for (int m = 0; m < 8; ++m) { any |= std::bit_cast<std::uint64_t>(row[at + m]) << 1; }
+    return any == 0;
+  };
+  int lo = 0, hi = n;
+  while (hi - lo >= 8 && zero8(lo)) { lo += 8; }
+  while (hi - lo >= 8 && zero8(hi - 8)) { hi -= 8; }
+  while (lo < hi && row[lo] == 0) { ++lo; }
+  while (hi > lo && row[hi - 1] == 0) { --hi; }
+  return {lo, hi};
+}
 
 } // namespace mrpic

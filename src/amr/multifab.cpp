@@ -137,11 +137,18 @@ Real MultiFab<DIM>::max_abs(int comp) const {
 
 template <int DIM>
 Real MultiFab<DIM>::sum_sq(int comp) const {
+  // Cell order, a row at a time. The sum starts at +0 and never falls, so a
+  // +-0 cell adds +0 and leaves it as is: each row sums only its
+  // nonzero_span, which spares the serial add chain the field-free ends of
+  // a row and changes no bit.
   Real s = 0;
   for (int i = 0; i < num_fabs(); ++i) {
-    m_fabs[i].for_each_cell(m_ba[i], [&](const IV& p) {
-      const Real v = m_fabs[i](p, comp);
-      s += v * v;
+    const auto a = m_fabs[i].const_array();
+    const int i0 = m_ba[i].lo(0), nx = m_ba[i].length(0);
+    m_fabs[i].for_each_row(m_ba[i], [&](int j, int k) {
+      const Real* row = a.row(i0, j, k, comp, nx);
+      const auto [lo, hi] = nonzero_span(row, nx);
+      for (int n = lo; n < hi; ++n) { s += row[n] * row[n]; }
     });
   }
   return s;

@@ -6,16 +6,11 @@
 
 namespace mrpic::diag {
 
-using mrpic::constants::c;
-
 namespace {
 
 template <int DIM>
-Real kinetic_energy_of(const mrpic::particles::ParticleTile<DIM>& t, std::size_t i,
-                       Real mass) {
-  const Real u2 = t.u[0][i] * t.u[0][i] + t.u[1][i] * t.u[1][i] + t.u[2][i] * t.u[2][i];
-  const Real gamma = std::sqrt(1 + u2 / (c * c));
-  return (gamma - 1) * mass * c * c;
+Real u2_of(const mrpic::particles::ParticleTile<DIM>& t, std::size_t i) {
+  return t.u[0][i] * t.u[0][i] + t.u[1][i] * t.u[1][i] + t.u[2][i] * t.u[2][i];
 }
 
 } // namespace
@@ -29,10 +24,13 @@ Spectrum energy_spectrum(const mrpic::particles::ParticleContainer<DIM>& pc, Rea
   s.counts.assign(nbins, Real(0));
   const Real mass = pc.species().mass;
   const Real inv_bw = nbins / (e_max - e_min);
+  const Real u2_min = u2_below_energy(e_min, mass);
   for (int ti = 0; ti < pc.num_tiles(); ++ti) {
     const auto& t = pc.tile(ti);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      const Real e = kinetic_energy_of<DIM>(t, i, mass);
+      const Real u2 = u2_of<DIM>(t, i);
+      if (u2 < u2_min) { continue; }
+      const Real e = kinetic_energy(u2, mass);
       if (e < e_min || e >= e_max) { continue; }
       const int b = static_cast<int>((e - e_min) * inv_bw);
       s.counts[b] += t.w[i];
@@ -75,7 +73,7 @@ Real charge_above(const mrpic::particles::ParticleContainer<DIM>& pc, Real e_min
   for (int ti = 0; ti < pc.num_tiles(); ++ti) {
     const auto& t = pc.tile(ti);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      if (kinetic_energy_of<DIM>(t, i, mass) >= e_min) { w_sum += t.w[i]; }
+      if (kinetic_energy(u2_of<DIM>(t, i), mass) >= e_min) { w_sum += t.w[i]; }
     }
   }
   return w_sum * std::abs(pc.species().charge);

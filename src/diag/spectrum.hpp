@@ -3,6 +3,7 @@
 // Electron energy spectra and beam-quality metrics (paper Fig. 7b: peaked
 // spectrum with < 10% energy spread above 100 MeV).
 
+#include <cmath>
 #include <vector>
 
 #include "src/amr/config.hpp"
@@ -17,6 +18,24 @@ struct Spectrum {
   Real bin_width() const { return (e_max - e_min) / counts.size(); }
   Real bin_center(std::size_t b) const { return e_min + (b + Real(0.5)) * bin_width(); }
 };
+
+// Kinetic energy [J] of a particle of `mass` with |u|^2 = u2 [m^2/s^2].
+inline Real kinetic_energy(Real u2, Real mass) {
+  using mrpic::constants::c;
+  return (std::sqrt(1 + u2 / (c * c)) - 1) * mass * c * c;
+}
+
+// A u^2 below which kinetic_energy(u2, mass) < e_min holds for sure (0 when
+// e_min <= 0), so a scan for energies >= e_min can drop the cold bulk of a
+// plasma without a sqrt. Every step of kinetic_energy is monotone in u2,
+// so checking the bound itself is enough.
+inline Real u2_below_energy(Real e_min, Real mass) {
+  using mrpic::constants::c;
+  if (!(e_min > 0) || !(mass > 0)) { return 0; }
+  const Real g = 1 + e_min / (mass * c * c);
+  const Real u2 = Real(0.999) * (g * g - 1) * c * c;
+  return kinetic_energy(u2, mass) < e_min ? u2 : 0;
+}
 
 // Histogram of kinetic energies weighted by macroparticle weight.
 template <int DIM>

@@ -8,31 +8,21 @@ namespace mrpic::insitu {
 
 using mrpic::constants::c;
 
-namespace {
-
-template <int DIM>
-double kinetic_energy_of(const particles::ParticleTile<DIM>& t, std::size_t i,
-                         double mass, double* gamma_out) {
-  const double u2 = double(t.u[0][i]) * t.u[0][i] + double(t.u[1][i]) * t.u[1][i] +
-                    double(t.u[2][i]) * t.u[2][i];
-  const double gamma = std::sqrt(1 + u2 / (double(c) * c));
-  if (gamma_out != nullptr) { *gamma_out = gamma; }
-  return (gamma - 1) * mass * double(c) * c;
-}
-
-} // namespace
-
 // --- beam moments ----------------------------------------------------------
 
 template <int DIM>
 void BeamMomentsAccumulator<DIM>::add(const particles::ParticleContainer<DIM>& pc) {
   m_mass = pc.species().mass;
   m_charge = pc.species().charge;
+  const double u2_min = diag::u2_below_energy(m_e_min, m_mass);
   for (int ti = 0; ti < pc.num_tiles(); ++ti) {
     const auto& t = pc.tile(ti);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      double gamma = 1;
-      const double e = kinetic_energy_of<DIM>(t, i, m_mass, &gamma);
+      const double u2 = double(t.u[0][i]) * t.u[0][i] + double(t.u[1][i]) * t.u[1][i] +
+                        double(t.u[2][i]) * t.u[2][i];
+      if (u2 < u2_min) { continue; }
+      const double gamma = std::sqrt(1 + u2 / (double(c) * c));
+      const double e = (gamma - 1) * m_mass * double(c) * c;
       if (e < m_e_min) { continue; }
       const double w = t.w[i];
       ++m_count;
@@ -127,15 +117,24 @@ LaserSample laser_probe(const fields::FieldSet<DIM>& f, Real wavelength,
   double max_abs = 0;
   double sum_i = 0;     // sum E^2 (intensity proxy)
   double sum_ix = 0;    // sum E^2 * x
+  // Cell order, a row's nonzero_span at a time: a +-0 cell would leave the
+  // maximum and both sums as they are (they start at +0 and are never -0).
   for (int fi = 0; fi < E.num_fabs(); ++fi) {
     const auto& fab = E.fab(fi);
-    fab.for_each_cell(E.valid_box(fi), [&](const IntVect<DIM>& p) {
-      const double v = fab(p, polarization_comp);
-      const double a = std::abs(v);
-      if (a > max_abs) { max_abs = a; }
-      const double x = geom.cell_center(p[0], 0);
-      sum_i += v * v;
-      sum_ix += v * v * x;
+    const auto a4 = fab.const_array();
+    const Box<DIM>& vb = E.valid_box(fi);
+    const int i0 = vb.lo(0), nx = vb.length(0);
+    fab.for_each_row(vb, [&](int j, int k) {
+      const Real* row = a4.row(i0, j, k, polarization_comp, nx);
+      const auto [lo, hi] = nonzero_span(row, nx);
+      for (int n = lo; n < hi; ++n) {
+        const double v = row[n];
+        const double a = std::abs(v);
+        if (a > max_abs) { max_abs = a; }
+        const double x = geom.cell_center(i0 + n, 0);
+        sum_i += v * v;
+        sum_ix += v * v * x;
+      }
     });
   }
   out.peak_E_V_m = max_abs;
@@ -155,12 +154,21 @@ Real wakefield_amplitude(const fields::FieldSet<DIM>& f, Real x_behind) {
   const auto& E = f.E();
   const auto& geom = f.geom();
   Real best = 0;
+  // A row's nonzero_span at a time: a +-0 cell cannot raise the maximum,
+  // and cell centres grow with i, so the first one at or past x_behind
+  // ends the row.
   for (int fi = 0; fi < E.num_fabs(); ++fi) {
     const auto& fab = E.fab(fi);
-    fab.for_each_cell(E.valid_box(fi), [&](const IntVect<DIM>& p) {
-      if (geom.cell_center(p[0], 0) >= x_behind) { return; }
-      const Real a = std::abs(fab(p, fields::X));
-      if (a > best) { best = a; }
+    const auto a4 = fab.const_array();
+    const Box<DIM>& vb = E.valid_box(fi);
+    const int i0 = vb.lo(0), nx = vb.length(0);
+    fab.for_each_row(vb, [&](int j, int k) {
+      const Real* row = a4.row(i0, j, k, fields::X, nx);
+      const auto [lo, hi] = nonzero_span(row, nx);
+      for (int n = lo; n < hi && !(geom.cell_center(i0 + n, 0) >= x_behind); ++n) {
+        const Real a = std::abs(row[n]);
+        if (a > best) { best = a; }
+      }
     });
   }
   return best;

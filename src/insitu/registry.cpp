@@ -35,6 +35,8 @@ bool Registry::open_series(const std::string& path) {
 
 int Registry::collect(std::int64_t step, double time, bool force) {
   int ran = 0;
+  // One append (and flush) per call: the records of one step, one per line.
+  std::ostringstream lines;
   for (const auto& d : m_diags) {
     if (!force && !due(step, d.interval)) { continue; }
     Record r;
@@ -50,9 +52,8 @@ int Registry::collect(std::int64_t step, double time, bool force) {
       }
     }
     if (m_series.is_open()) {
-      std::ostringstream line;
-      write_record(r, line);
-      m_series.append(line.str());
+      if (lines.tellp() > 0) { lines << '\n'; }
+      write_record(r, lines);
     }
     m_history.push_back(std::move(r));
     ++m_total_records;
@@ -60,6 +61,7 @@ int Registry::collect(std::int64_t step, double time, bool force) {
       m_history.pop_front();
     }
   }
+  if (ran > 0 && m_series.is_open()) { m_series.append(lines.str()); }
   return ran;
 }
 

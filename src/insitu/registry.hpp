@@ -6,8 +6,8 @@
 // scalars; collect(step) runs every diagnostic that is due, publishes each
 // value as an `insitu_<diag>_<key>` gauge in the obs::MetricsRegistry, and
 // appends one JSON object per record to a durable series
-// (obs::json::JsonlWriter, flushed per record), so a crashed run's series
-// survives. A rollback restores a checkpoint into the same Simulation
+// (obs::json::JsonlWriter, flushed once per collect), so a crashed run's
+// series survives. A rollback restores a checkpoint into the same Simulation
 // (resil::ResilientRunner), so the open series keeps appending through the
 // replay; reader-side canonicalize() collapses the overlap: per
 // (diag, step) the last occurrence wins.
@@ -67,8 +67,9 @@ public:
   // Records kept in memory (0 = unbounded).
   void set_history_limit(std::size_t n) { m_history_limit = n; }
 
-  // Open (truncate) the durable JSONL series; every collected record is
-  // appended and flushed immediately. Returns false when it cannot be opened.
+  // Open (truncate) the durable JSONL series; the records of each collect()
+  // are appended and flushed together. Returns false when it cannot be
+  // opened.
   bool open_series(const std::string& path);
   const std::string& series_path() const { return m_series_path; }
 

@@ -213,35 +213,37 @@ bool StreamWriter::rotate() {
   return true;
 }
 
-bool StreamWriter::write(const Frame& f) {
-  const std::string buf = encode_frame(f);
-  // Steady "insitu.stream" account: the encode buffer of the frame in
-  // flight plus the manifest index held in memory. The high-water mark is
-  // the largest frame ever staged plus the index at its biggest.
-  m_mem.update(static_cast<std::int64_t>(
-      buf.size() + m_frames.capacity() * sizeof(FrameEntry) +
-      m_files.capacity() * sizeof(FileEntry)));
-  const bool fits = m_current >= 0 && m_current_bytes > 0 &&
-                    m_current_bytes + buf.size() <= m_cfg.max_file_bytes;
-  if (m_current < 0 || (!fits && m_current_bytes > 0)) {
-    if (!rotate()) { return false; }
-  }
-  auto* os = static_cast<std::ofstream*>(m_os);
-  const std::uint64_t offset = m_current_bytes;
-  os->write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  os->flush();
-  if (!*os) { return false; }
+bool StreamWriter::write(const std::vector<Frame>& frames) {
+  for (const Frame& f : frames) {
+    const std::string buf = encode_frame(f);
+    // Steady "insitu.stream" account: the encode buffer of the frame in
+    // flight plus the manifest index held in memory. The high-water mark is
+    // the largest frame ever staged plus the index at its biggest.
+    m_mem.update(static_cast<std::int64_t>(
+        buf.size() + m_frames.capacity() * sizeof(FrameEntry) +
+        m_files.capacity() * sizeof(FileEntry)));
+    const bool fits = m_current >= 0 && m_current_bytes > 0 &&
+                      m_current_bytes + buf.size() <= m_cfg.max_file_bytes;
+    if (m_current < 0 || (!fits && m_current_bytes > 0)) {
+      if (!rotate()) { return false; }
+    }
+    auto* os = static_cast<std::ofstream*>(m_os);
+    const std::uint64_t offset = m_current_bytes;
+    os->write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    os->flush();
+    if (!*os) { return false; }
 
-  m_current_bytes += buf.size();
-  m_bytes_written += static_cast<std::int64_t>(buf.size());
-  ++m_frames_written;
-  auto& fe = m_files.back();
-  ++fe.frames;
-  fe.bytes = m_current_bytes;
-  if (fe.first_step < 0) { fe.first_step = f.step; }
-  fe.last_step = f.step;
-  m_frames.push_back(
-      FrameEntry{fe.file, offset, f.kind, f.name, f.step, f.time, f.nx, f.ny});
+    m_current_bytes += buf.size();
+    m_bytes_written += static_cast<std::int64_t>(buf.size());
+    ++m_frames_written;
+    auto& fe = m_files.back();
+    ++fe.frames;
+    fe.bytes = m_current_bytes;
+    if (fe.first_step < 0) { fe.first_step = f.step; }
+    fe.last_step = f.step;
+    m_frames.push_back(
+        FrameEntry{fe.file, offset, f.kind, f.name, f.step, f.time, f.nx, f.ny});
+  }
   return write_manifest();
 }
 

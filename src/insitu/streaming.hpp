@@ -83,10 +83,10 @@ public:
 
   const StreamConfig& config() const { return m_cfg; }
 
-  // Append one frame (+ flush) to the current file, rotating/pruning first
-  // if it would exceed the size bound, then rewrite the manifest. Returns
-  // false on I/O failure.
-  bool write(const Frame& f);
+  // Append the frames of one streamed step (+ flush) to the current file,
+  // rotating/pruning first whenever a frame would exceed the size bound,
+  // then rewrite the manifest once. Returns false on I/O failure.
+  bool write(const std::vector<Frame>& frames);
 
   std::int64_t frames_written() const { return m_frames_written; }
   std::int64_t bytes_written() const { return m_bytes_written; }

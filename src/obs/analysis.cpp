@@ -333,14 +333,18 @@ double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim) {
   switch (k) {
     case KernelKind::Gather:
       // read x, stream 6 field components over the stencil, write 6 gathered.
+      // An upper bound: a particle whose stencil lies in field-free cells
+      // reads no field (gather.cpp).
       return real_b * dim + 6 * real_b * stencil_points + 6 * real_b;
     case KernelKind::Push:
-      // read 6 gathered, read+write u (3), read+write x (dim).
+      // read 6 gathered, read+write u (3), read+write x (dim). An upper
+      // bound: a particle at rest in zero fields writes no u (pusher.cpp).
       return 6 * real_b + 2 * 3 * real_b + 2 * real_b * dim;
     case KernelKind::Deposit:
       // read x_old + x_new, read w, RMW 3 current components over the
       // (order+2)^dim face-crossing window. An upper bound: a particle that
-      // did not move deposits only Jz in 2D and nothing in 3D (deposition.cpp).
+      // did not move deposits only Jz in 2D (nothing when u_z = 0) and
+      // nothing in 3D (deposition.cpp).
       return 2 * real_b * dim + real_b + 6 * real_b * esirkepov_points;
   }
   return 0;

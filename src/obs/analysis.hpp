@@ -205,7 +205,10 @@ double kernel_flops_per_particle(KernelKind k, int shape_order, int dim);
 //   deposit: read x_old + x_new (16*dim), read w (8), read-modify-write 3
 //            current components over Q cells (48*Q)       -> 16*dim + 8 + 48*Q
 // A per-particle closed form, so a kernel's intensity is exact and the gap
-// between modeled and achieved bandwidth is the cache headroom.
+// between modeled and achieved bandwidth is the cache headroom. Each count is
+// an upper bound: a particle at rest in field-free cells skips the gather's
+// field reads and the push's u update, and one that did not move deposits
+// only part of the window (or nothing).
 double kernel_bytes_per_particle(KernelKind k, int shape_order, int dim);
 
 } // namespace mrpic::obs::analysis

@@ -19,9 +19,9 @@ namespace mrpic::obs {
 inline constexpr const char* kProgressSchema = "mrpic.progress.v1";
 
 struct HeartbeatConfig {
-  std::string path;       // progress.json location ("" disables writes)
-  int interval_steps = 5; // rewrite cadence (every Nth update() call fires)
-  double alpha = 0.25;    // EWMA smoothing for the step rate
+  std::string path;        // progress.json location ("" disables writes)
+  int interval_steps = 25; // rewrite cadence (every Nth update() call fires)
+  double alpha = 0.25;     // EWMA smoothing for the step rate
 };
 
 class ProgressHeartbeat {

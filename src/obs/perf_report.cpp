@@ -334,8 +334,10 @@ void write_markdown(const PerfReport& report, std::ostream& os) {
       os << "No particle kernel ran.\n\n";
     } else {
       os << "Profiler totals of the particle kernels over every step, on the "
-            "analytic cold-cache byte model. The deposit row counts the (order+2)^dim "
-            "face-crossing window for every particle, an upper bound: a particle that did "
+            "analytic cold-cache byte model. Every row is an upper bound. The gather and "
+            "push rows count every pushed particle, but one at rest (u = +0) in field-free "
+            "cells skips both, and its deposit too. The deposit row counts the "
+            "(order+2)^dim face-crossing window for every particle, but a particle that did "
             "not move deposits only Jz in 2D and nothing in 3D.\n\n";
       os << "| kernel | invocations | particles | time | GB/s | intensity | "
             "roof TFlop/s | bound | attainment |\n"

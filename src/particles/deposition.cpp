@@ -51,7 +51,9 @@ struct ShapePair {
 // at +0 (zero_current) and has since been only a round-to-nearest sum, which
 // is -0 only when both addends are, so it is never -0 and x + (+-0) == x bit
 // for bit. The still bracket S0x S0y + (+0 S0y + S0x +0)/2 + (+0 +0)/3 equals
-// S0x S0y because B-spline weights are >= +0.
+// S0x S0y because B-spline weights are >= +0. A still particle with cz == 0
+// (u_z == 0: gas at rest) would add only +-0 terms, so it deposits nothing;
+// testing cz itself keeps a NaN or infinite u on the full path.
 template <int ORDER>
 void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real>, 2>& x_old,
                   const mrpic::Geometry<2>& geom, const Array4<Real>& J, Real charge,
@@ -70,6 +72,7 @@ void esirkepov_2d(const ParticleTile<2>& tile, const std::array<std::vector<Real
     const Real vz = tile.u[2][p] / std::sqrt(1 + u2 / (c * c));
     const Real cz = Q * vz / (dxv * dyv);
     if (xo == xn && yo == yn) { // did not move: Jz over the one shape
+      if (cz == 0) { continue; }
       Real wx[ORDER + 1], wy[ORDER + 1];
       const int i0 = Shape<ORDER>::compute(wx, xo);
       const int j0 = Shape<ORDER>::compute(wy, yo);

@@ -1,5 +1,8 @@
 #include "src/particles/gather.hpp"
 
+#include <algorithm>
+#include <climits>
+
 #include "src/amr/parallel_for.hpp"
 #include "src/fields/yee.hpp"
 #include "src/particles/shape.hpp"
@@ -52,9 +55,47 @@ void gather_impl(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom
   const auto lo = geom.prob_lo();
   const auto idx = geom.inv_dx();
 
+  // Field-free cells: [nzlo, nzhi] bounds the cells of both whole fabs,
+  // ghosts included, where any E or B value is nonzero (NaN counts). A
+  // stencil lies in [i - (ORDER+1)/2, i + ORDER/2 + 1], i = floor(xi), along
+  // each axis; one that misses the box sums w * (+-0) onto a +0 accumulator,
+  // which stays +0, so the particle gets six +0 with no shape evaluated: the
+  // full interpolation bit for bit. A box spanning E's fab tests no one.
+  int nzlo[3] = {INT_MAX, INT_MAX, INT_MAX}, nzhi[3] = {INT_MIN, INT_MIN, INT_MIN};
+  for (const auto* f : {&E, &B}) {
+    const int nx = f->ihi - f->ilo + 1;
+    for (int n = 0; n < 3; ++n) {
+      for (int k = f->klo; k <= f->khi; ++k) {
+        for (int j = f->jlo; j <= f->jhi; ++j) {
+          const auto [a, b] = nonzero_span(f->row(f->ilo, j, k, n, nx), nx);
+          const int at[3][2] = {{f->ilo + a, f->ilo + b - 1}, {j, j}, {k, k}};
+          for (int d = 0; d < 3 && a < b; ++d) {
+            nzlo[d] = std::min(nzlo[d], at[d][0]);
+            nzhi[d] = std::max(nzhi[d], at[d][1]);
+          }
+        }
+      }
+    }
+  }
+  const bool test = nzlo[0] > E.ilo || nzhi[0] < E.ihi || nzlo[1] > E.jlo || nzhi[1] < E.jhi ||
+                    (DIM == 3 && (nzlo[2] > E.klo || nzhi[2] < E.khi));
+
   mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
+    Real xi[DIM];
+    bool misses = false;
+    for (int d = 0; d < DIM; ++d) {
+      xi[d] = (tile.x[d][p] - lo[d]) * idx[d];
+      if (test) {
+        const int i = static_cast<int>(std::floor(xi[d]));
+        misses = misses || i + ORDER / 2 + 1 < nzlo[d] || i - (ORDER + 1) / 2 > nzhi[d];
+      }
+    }
+    if (misses) {
+      for (int cc = 0; cc < 3; ++cc) { out.E[cc][p] = out.B[cc][p] = 0; }
+      return;
+    }
     StaggeredShape<ORDER> sh[DIM];
-    for (int d = 0; d < DIM; ++d) { sh[d].compute((tile.x[d][p] - lo[d]) * idx[d]); }
+    for (int d = 0; d < DIM; ++d) { sh[d].compute(xi[d]); }
 
     // The six components use all four in-plane staggerings; Ex/By and
     // Ey/Bx share theirs.

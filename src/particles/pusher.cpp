@@ -65,11 +65,25 @@ inline void vay_kick(Real qmdt2, Real& ux, Real& uy, Real& uz, Real Ex, Real Ey,
   uz = s * (upz + ut * tz + upx * ty - upy * tx);
 }
 
+// A particle at rest (u bitwise +0) in zero fields (all six == 0) keeps
+// u = +0 and moves by +0 * dt, bit for bit as below, since a sum of zeros
+// with a +0 addend is +0 in any order or contraction. Boris: each half kick
+// adds qmdt2 * (+-0) to +0; gm = 1, so t, s and the rotation add +-0 too.
+// Vay: g0 = 1, v = +0, u' = +0; tau = +-0 gives gnew = s = 1 and u = +0.
+// Then gamma = 1. A -0 component, a nonzero field or a NaN takes the full
+// path.
 template <PusherKind KIND, int DIM>
 void push_impl(ParticleTile<DIM>& tile, const GatheredFields& f, Real qmdt2, Real dt) {
   const std::size_t np = tile.size();
   mrpic::parallel_for(static_cast<std::int64_t>(np), [&](std::int64_t p) {
     Real u[3] = {tile.u[0][p], tile.u[1][p], tile.u[2][p]};
+    if ((std::bit_cast<std::uint64_t>(u[0]) | std::bit_cast<std::uint64_t>(u[1]) |
+         std::bit_cast<std::uint64_t>(u[2])) == 0 &&
+        f.E[0][p] == 0 && f.E[1][p] == 0 && f.E[2][p] == 0 && f.B[0][p] == 0 &&
+        f.B[1][p] == 0 && f.B[2][p] == 0) {
+      for (int d = 0; d < DIM; ++d) { tile.x[d][p] += u[d] * dt; }
+      return;
+    }
     if constexpr (KIND == PusherKind::Vay) {
       vay_kick(qmdt2, u[0], u[1], u[2], f.E[0][p], f.E[1][p], f.E[2][p], f.B[0][p],
                f.B[1][p], f.B[2][p]);

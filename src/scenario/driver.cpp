@@ -83,7 +83,9 @@ std::vector<std::string> normalized_flags(const RunOptions& opt) {
     f.push_back("--node-budget-gb " + std::to_string(opt.node_budget_gb));
   }
   if (opt.no_mr) { f.push_back("--no-mr"); }
-  if (opt.heartbeat != 5) { f.push_back("--heartbeat " + std::to_string(opt.heartbeat)); }
+  if (opt.heartbeat != RunOptions{}.heartbeat) {
+    f.push_back("--heartbeat " + std::to_string(opt.heartbeat));
+  }
   return f;
 }
 
@@ -144,7 +146,7 @@ void print_usage(const char* prog) {
       "  --no-mr               strip the scenario's MR patch\n"
       "  --run-id ID           run id recorded in the run.json manifest (default:\n"
       "                        generated <scenario>-<time>-<pid>-<n>)\n"
-      "  --heartbeat N         rewrite progress.json every N steps (default 5; 0 = off)\n"
+      "  --heartbeat N         rewrite progress.json every N steps (default 25; 0 = off)\n"
       "  t_end_fs              end time in femtoseconds (positional)\n",
       prog, prog);
 }

@@ -42,7 +42,7 @@ struct RunOptions {
   double node_budget_gb = 0; // OOM headroom budget; implies memory
   // Campaign telemetry (run manifest + event timeline are always on).
   std::string run_id;        // manifest run id ("" = generate one)
-  int heartbeat = 5;         // progress.json rewrite cadence in steps (0 = off)
+  int heartbeat = 25;        // progress.json rewrite cadence in steps (0 = off)
 };
 
 // The run-telemetry trio every run carries, whatever its flags: the run.json

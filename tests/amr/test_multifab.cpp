@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "src/amr/multifab.hpp"
 
 namespace mrpic {
@@ -183,6 +187,61 @@ TEST(MultiFab, Reductions) {
   EXPECT_DOUBLE_EQ(mf.max_abs(0), 7.0);
   EXPECT_DOUBLE_EQ(mf.sum(0), -5.0);
   EXPECT_DOUBLE_EQ(mf.sum_sq(0), 49.0 + 4.0);
+}
+
+TEST(NonzeroSpan, TrimsSignedZerosAndKeepsNaN) {
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  std::mt19937_64 rng(7);
+  for (int n = 0; n <= 40; ++n) {
+    for (int first = 0; first <= n; ++first) {
+      for (int last = first; last <= n; ++last) {
+        // +-0 outside [first, last), nonzero (or NaN) at both of its ends.
+        std::vector<Real> row(n);
+        for (auto& v : row) { v = rng() % 2 ? 0.0 : -0.0; }
+        if (first < last) {
+          row[first] = rng() % 3 ? 1.5 : nan;
+          row[last - 1] = rng() % 3 ? -2.5 : nan;
+        }
+        const auto [lo, hi] = nonzero_span(row.data(), n);
+        if (first == last) {
+          EXPECT_EQ(lo, hi) << "n " << n;
+        } else {
+          EXPECT_EQ(lo, first) << "n " << n;
+          EXPECT_EQ(hi, last) << "n " << n;
+        }
+      }
+    }
+  }
+}
+
+// sum_sq against a plain sum over every valid cell in cell order, bit for
+// bit, on fields with +-0 ends, +-0 rows and interior zeros.
+TEST(MultiFab, SumSqMatchesEveryCellSum) {
+  const auto g = geom_periodic(false, false);
+  MultiFab<2> mf(BoxArray<2>::decompose(g.domain(), 16), 2, 2);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<Real> val(-1.0, 1.0);
+  for (int m = 0; m < mf.num_fabs(); ++m) {
+    auto& f = mf.fab(m);
+    f.for_each_cell(mf.grown_box(m), [&](const IntVect2& p) {
+      for (int n = 0; n < 2; ++n) {
+        const bool zero = p[0] % 16 < 5 || p[0] % 16 > 12 || p[1] % 4 == 0 || rng() % 5 == 0;
+        f(p, n) = zero ? (rng() % 2 ? 0.0 : -0.0) : val(rng);
+      }
+    });
+  }
+  for (int n = 0; n < 2; ++n) {
+    Real want = 0;
+    for (int m = 0; m < mf.num_fabs(); ++m) {
+      mf.fab(m).for_each_cell(mf.valid_box(m), [&](const IntVect2& p) {
+        const Real v = mf.fab(m)(p, n);
+        want += v * v;
+      });
+    }
+    const Real got = mf.sum_sq(n);
+    EXPECT_GT(got, 0.0);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(Real)), 0) << got << " vs " << want;
+  }
 }
 
 TEST(MultiFab, ShiftDataScrolls) {

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -143,6 +145,117 @@ TEST(InsituReductions, EnergyCutSelectsBeam) {
   EXPECT_EQ(m.count, 25);
   EXPECT_NEAR(m.weight, 50.0, 1e-12);
   EXPECT_NEAR(m.mean_energy_J, 10e6 * q_e, 1e-6 * 10e6 * q_e);
+}
+
+TEST(InsituReductions, EnergyCutAtTheThresholdMatchesExactEnergies) {
+  // Energies packed around the cut (relative offsets down to 1e-15) and at
+  // the sqrt-free bound itself: the beam moments and the spectrum must keep
+  // exactly the particles whose exact kinetic energy passes the cut.
+  EXPECT_GT(diag::u2_below_energy(2e6 * q_e, m_e), 0.0);
+  for (const double e_min : {2e6 * q_e, 1e-9 * q_e, 1e3 * q_e}) {
+    auto pc = empty_container();
+    auto& t = pc.tile(0);
+    const double u2_bound = diag::u2_below_energy(e_min, m_e);
+    std::vector<double> u2s = {0.0, u2_bound, std::nextafter(u2_bound, 0.0),
+                               std::nextafter(u2_bound, 1e300)};
+    for (const double rel : {1e-15, 1e-12, 1e-9, 1e-6}) {
+      for (const double e : {e_min * (1 - rel), e_min, e_min * (1 + rel)}) {
+        const double u = u_of_energy(e);
+        u2s.push_back(u * u);
+      }
+    }
+    std::int64_t want = 0;
+    for (const double u2 : u2s) {
+      t.push_back({0.0, 0.0}, {Real(std::sqrt(u2)), 0.0, 0.0}, 1.0);
+      const double ux = t.u[0].back();
+      if (diag::kinetic_energy(ux * ux, m_e) >= e_min) { ++want; }
+    }
+    insitu::BeamMomentsAccumulator<2> cut(e_min);
+    cut.add(pc);
+    EXPECT_EQ(cut.finalize().count, want) << e_min;
+    const auto spec = diag::energy_spectrum<2>(pc, Real(e_min), Real(2 * e_min), 4);
+    Real counted = 0;
+    for (const Real w : spec.counts) { counted += w; }
+    EXPECT_EQ(counted, Real(want)) << e_min;
+  }
+}
+
+// The per-cell loops the row-walked probes replaced, kept as the reference
+// they must match bit for bit.
+namespace ref {
+
+insitu::LaserSample laser_probe(const fields::FieldSet<2>& f, Real wavelength, int comp) {
+  insitu::LaserSample out;
+  const auto& E = f.E();
+  double max_abs = 0, sum_i = 0, sum_ix = 0;
+  for (int fi = 0; fi < E.num_fabs(); ++fi) {
+    const auto& fab = E.fab(fi);
+    fab.for_each_cell(E.valid_box(fi), [&](const IntVect2& p) {
+      const double v = fab(p, comp);
+      const double a = std::abs(v);
+      if (a > max_abs) { max_abs = a; }
+      const double x = f.geom().cell_center(p[0], 0);
+      sum_i += v * v;
+      sum_ix += v * v * x;
+    });
+  }
+  out.peak_E_V_m = max_abs;
+  const double omega = 2 * constants::pi * c / wavelength;
+  out.a0 = q_e * max_abs / (m_e * omega * c);
+  if (sum_i > 0) { out.centroid_x_m = sum_ix / sum_i; }
+  return out;
+}
+
+Real wakefield_amplitude(const fields::FieldSet<2>& f, Real x_behind) {
+  const auto& E = f.E();
+  Real best = 0;
+  for (int fi = 0; fi < E.num_fabs(); ++fi) {
+    const auto& fab = E.fab(fi);
+    fab.for_each_cell(E.valid_box(fi), [&](const IntVect2& p) {
+      if (f.geom().cell_center(p[0], 0) >= x_behind) { return; }
+      const Real a = std::abs(fab(p, fields::X));
+      if (a > best) { best = a; }
+    });
+  }
+  return best;
+}
+
+} // namespace ref
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(InsituReductions, FieldProbesMatchEveryCellLoops) {
+  // Fields +-0 at both ends of most rows, in whole rows, and scattered
+  // inside, with the pulse straddling two boxes; origin below zero so the
+  // intensity-weighted x sum changes sign.
+  const Geometry<2> geom(Box2(IntVect2(0, 0), IntVect2(63, 15)), RealVect2(-2e-6, 0),
+                         RealVect2(4.4e-6, 1.6e-6), {false, false});
+  fields::FieldSet<2> f(geom, BoxArray<2>::decompose(geom.domain(), 32));
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<Real> val(-1e12, 1e12);
+  for (int m = 0; m < f.E().num_fabs(); ++m) {
+    auto& fab = f.E().fab(m);
+    fab.for_each_cell(f.E().grown_box(m), [&](const IntVect2& p) {
+      for (int cc = 0; cc < 3; ++cc) {
+        const bool zero = p[0] < 20 || p[0] > 45 || p[1] % 5 == 0 || rng() % 4 == 0;
+        fab(p, cc) = zero ? (rng() % 2 ? 0.0 : -0.0) : val(rng);
+      }
+    });
+  }
+  for (const int comp : {0, 1, 2}) {
+    const auto got = insitu::laser_probe<2>(f, 0.8e-6, comp);
+    const auto want = ref::laser_probe(f, 0.8e-6, comp);
+    EXPECT_TRUE(same_bits(got.peak_E_V_m, want.peak_E_V_m)) << comp;
+    EXPECT_TRUE(same_bits(got.a0, want.a0)) << comp;
+    EXPECT_TRUE(same_bits(got.centroid_x_m, want.centroid_x_m)) << comp;
+  }
+  for (const Real xb : {Real(-1e-5), Real(0), Real(1.234e-6), geom.cell_center(33, 0),
+                        std::numeric_limits<Real>::infinity(),
+                        std::numeric_limits<Real>::quiet_NaN()}) {
+    EXPECT_TRUE(
+        same_bits(insitu::wakefield_amplitude<2>(f, xb), ref::wakefield_amplitude(f, xb)))
+        << xb;
+  }
 }
 
 TEST(InsituReductions, ThreeDZPlaneEmittance) {

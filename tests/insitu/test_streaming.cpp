@@ -89,10 +89,9 @@ TEST(InsituStreaming, RoundTripBitExact) {
     insitu::StreamConfig cfg;
     cfg.basename = base;
     insitu::StreamWriter w(cfg);
-    for (int s = 0; s < 3; ++s) {
-      written.push_back(make_frame(s * 10, 12, 7, "Ex"));
-      ASSERT_TRUE(w.write(written.back()));
-    }
+    for (int s = 0; s < 3; ++s) { written.push_back(make_frame(s * 10, 12, 7, "Ex")); }
+    ASSERT_TRUE(w.write({written[0]}));
+    ASSERT_TRUE(w.write({written[1], written[2]}));
     EXPECT_EQ(w.frames_written(), 3);
     EXPECT_GT(w.bytes_written(), 0);
   }
@@ -123,7 +122,10 @@ TEST(InsituStreaming, RotationAndRingPruning) {
     cfg.max_file_bytes = 1; // every frame exceeds the bound -> one file each
     cfg.max_files = 2;
     insitu::StreamWriter w(cfg);
-    for (int s = 0; s < 4; ++s) { ASSERT_TRUE(w.write(make_frame(s, 4, 4, "Ey"))); }
+    // Frames 2 and 3 arrive as one streamed step and still rotate apart.
+    ASSERT_TRUE(w.write({make_frame(0, 4, 4, "Ey")}));
+    ASSERT_TRUE(w.write({make_frame(1, 4, 4, "Ey")}));
+    ASSERT_TRUE(w.write({make_frame(2, 4, 4, "Ey"), make_frame(3, 4, 4, "Ey")}));
     EXPECT_EQ(w.frames_written(), 4);
     EXPECT_EQ(w.files_rotated(), 4);
   }
@@ -155,8 +157,8 @@ TEST(InsituStreaming, TruncatedTailIsDroppedWithoutError) {
     insitu::StreamConfig cfg;
     cfg.basename = base;
     insitu::StreamWriter w(cfg);
-    ASSERT_TRUE(w.write(make_frame(0, 8, 8, "Ex")));
-    ASSERT_TRUE(w.write(make_frame(1, 8, 8, "Ex")));
+    ASSERT_TRUE(w.write({make_frame(0, 8, 8, "Ex")}));
+    ASSERT_TRUE(w.write({make_frame(1, 8, 8, "Ex")}));
   }
   const std::string path = base + ".000.bin";
   const std::string bytes = slurp(path);

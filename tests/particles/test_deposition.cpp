@@ -447,7 +447,8 @@ mrpic::Geometry<DIM> offset_geom(int n) {
 // explicitly: still in every direction, still along all axes but one and
 // along one axis only, within a cell, and across a face upward and downward
 // along each axis, both an integer face (orders 1 and 3) and a half-integer
-// one (order 2). Every particle has u != 0.
+// one (order 2). Every particle has u != 0 but the still ones with
+// u_z = +-0: at rest, at rest with u_z = -0, and moving in x or y only.
 template <int DIM>
 void crossing_particles(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>& box,
                         std::uint64_t seed, ParticleTile<DIM>& tile,
@@ -488,6 +489,15 @@ void crossing_particles(const mrpic::Geometry<DIM>& geom, const mrpic::Box<DIM>&
         to[d] = b;
         place(from, to);
       }
+    }
+  }
+  for (const std::array<Real, 3>& u : {std::array<Real, 3>{0, 0, 0}, {0, 0, -0.0},
+                                       {c / 2, 0, 0}, {0, -c / 3, 0}}) {
+    for (const Real a : {2.5, 3.3, 0.1}) {
+      std::array<Real, DIM> at;
+      at.fill(a);
+      place(at, at);
+      for (int cc = 0; cc < 3; ++cc) { tile.u[cc].back() = u[cc]; }
     }
   }
   std::uniform_real_distribution<Real> cell(0.0, n);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 
@@ -234,6 +236,49 @@ ParticleTile<DIM> stencil_edge_particles(const mrpic::Geometry<DIM>& geom,
   return tile;
 }
 
+// Entries whose bit patterns differ, so a +0/-0 flip counts and a NaN
+// matches itself.
+std::size_t bit_mismatches(const std::vector<Real>& a, const std::vector<Real>& b) {
+  if (a.size() != b.size()) { return std::max(a.size(), b.size()); }
+  std::size_t bad = 0;
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    if (std::memcmp(&a[n], &b[n], sizeof(Real)) != 0) { ++bad; }
+  }
+  return bad;
+}
+
+template <int DIM, int ORDER>
+void expect_gather_matches(const ParticleTile<DIM>& tile, const mrpic::Geometry<DIM>& geom,
+                           const mrpic::MultiFab<DIM>& E, const mrpic::MultiFab<DIM>& B, int m,
+                           const std::string& what) {
+  GatheredFields got, want;
+  gather_fields<DIM>(ORDER, tile, geom, E.const_array(m), B.const_array(m), got);
+  ref::gather_impl<DIM, ORDER>(tile, geom, E.const_array(m), B.const_array(m), want);
+  for (int cc = 0; cc < 3; ++cc) {
+    EXPECT_EQ(bit_mismatches(got.E[cc], want.E[cc]), 0u)
+        << what << ": E" << cc << " order " << ORDER << " DIM " << DIM;
+    EXPECT_EQ(bit_mismatches(got.B[cc], want.B[cc]), 0u)
+        << what << ": B" << cc << " order " << ORDER << " DIM " << DIM;
+  }
+}
+
+// Sets every component of fab m of E and B, ghost cells included, to
+// value(cell, component), with the cell relative to the box's low corner.
+template <int DIM, typename F>
+void fill_fields(mrpic::MultiFab<DIM>& E, mrpic::MultiFab<DIM>& B, int m,
+                 const mrpic::Box<DIM>& box, F&& value) {
+  for (auto* mf : {&E, &B}) {
+    auto& fab = mf->fab(m);
+    fab.for_each_cell(mf->grown_box(m), [&](const mrpic::IntVect<DIM>& p) {
+      for (int cc = 0; cc < 3; ++cc) { fab(p, cc) = value(p - box.lo(), cc); }
+    });
+  }
+}
+
+// The gather against the per-tap reference on fields nonzero everywhere,
+// then on fields that are +-0 over part of the fab: on one side of a plane
+// across each axis, everywhere but one ghost cell (a value, then a NaN),
+// and everywhere.
 template <int DIM, int ORDER>
 void check_gather_matches_per_tap(std::uint64_t seed) {
   const auto geom = offset_geom<DIM>(16);
@@ -241,21 +286,56 @@ void check_gather_matches_per_tap(std::uint64_t seed) {
   mrpic::MultiFab<DIM> E(ba, 3, mrpic::default_num_ghost);
   mrpic::MultiFab<DIM> B(ba, 3, mrpic::default_num_ghost);
   const int m = ba.size() - 1;
+  const auto& box = ba[m];
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<Real> val(-1.0, 1.0);
-  for (auto* mf : {&E, &B}) {
-    auto& fab = mf->fab(m);
-    for (std::size_t n = 0; n < fab.size(); ++n) { fab.data()[n] = val(rng); }
-  }
-  const auto tile = stencil_edge_particles<DIM>(geom, ba[m], seed);
+  const auto tile = stencil_edge_particles<DIM>(geom, box, seed);
+  const auto random = [&](const mrpic::IntVect<DIM>&, int) { return val(rng); };
+  const auto signed_zero = [&](const mrpic::IntVect<DIM>&, int) {
+    return rng() % 2 ? 0.0 : -0.0;
+  };
 
-  GatheredFields got, want;
-  gather_fields<DIM>(ORDER, tile, geom, E.const_array(m), B.const_array(m), got);
-  ref::gather_impl<DIM, ORDER>(tile, geom, E.const_array(m), B.const_array(m), want);
-  for (int cc = 0; cc < 3; ++cc) {
-    EXPECT_TRUE(got.E[cc] == want.E[cc]) << "E" << cc << " order " << ORDER << " DIM " << DIM;
-    EXPECT_TRUE(got.B[cc] == want.B[cc]) << "B" << cc << " order " << ORDER << " DIM " << DIM;
+  fill_fields<DIM>(E, B, m, box, random);
+  expect_gather_matches<DIM, ORDER>(tile, geom, E, B, m, "nonzero everywhere");
+
+  // Random on one side of the plane 4 cells into the box along axis d,
+  // +-0 on the other; particles sweep across the plane in 1/16 cells.
+  const Real n = box.length(0);
+  std::uniform_real_distribution<Real> inside(0.0, n);
+  for (int d = 0; d < DIM; ++d) {
+    ParticleTile<DIM> sweep;
+    for (int s = 0; s < 16 * n; ++s) {
+      std::array<Real, DIM> x;
+      for (int e = 0; e < DIM; ++e) {
+        const Real cells = e == d ? s / Real(16) : inside(rng);
+        x[e] = geom.prob_lo()[e] + (box.lo(e) + cells) * geom.cell_size(e);
+      }
+      sweep.push_back(x, {0, 0, 0}, 1.0);
+    }
+    for (const bool above : {true, false}) {
+      fill_fields<DIM>(E, B, m, box, [&](const mrpic::IntVect<DIM>& p, int cc) {
+        return (p[d] >= 4) == above ? random(p, cc) : signed_zero(p, cc);
+      });
+      expect_gather_matches<DIM, ORDER>(sweep, geom, E, B, m,
+                                        std::string(above ? "zero below" : "zero above") +
+                                            " a plane across axis " + std::to_string(d));
+    }
   }
+
+  // One value, then one NaN, in Ex at a low ghost cell in x that the
+  // stencils of the particles 0.1 cells above the low x face reach.
+  mrpic::IntVect<DIM> ghost(2);
+  ghost[0] = -1;
+  for (const Real v : {0.75, std::numeric_limits<Real>::quiet_NaN()}) {
+    fill_fields<DIM>(E, B, m, box, signed_zero);
+    E.fab(m)(box.lo() + ghost, 0) = v;
+    expect_gather_matches<DIM, ORDER>(tile, geom, E, B, m,
+                                      std::isnan(v) ? "a NaN in a ghost cell"
+                                                    : "one value in a ghost cell");
+  }
+
+  fill_fields<DIM>(E, B, m, box, signed_zero);
+  expect_gather_matches<DIM, ORDER>(tile, geom, E, B, m, "+-0 everywhere");
 }
 
 TEST(Gather, RowWalkedMatchesPerTap2D) {

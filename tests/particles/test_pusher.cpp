@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "src/amr/parallel_for.hpp"
@@ -109,26 +111,82 @@ void random_push_case(std::uint64_t seed, ParticleTile<DIM>& tile, GatheredField
   }
 }
 
+// Appends particles at rest (u = +0) and next to rest, in zero and nearly
+// zero fields: every combination of one u component set to -0 (or none)
+// with zero fields (+0 and -0), one field component set to a small value,
+// and one set to a NaN, each at a position of +0, -0 and a random value.
 template <int DIM>
-void check_push_matches_out_of_line(PusherKind kind, std::uint64_t seed) {
+void add_at_rest_push_case(std::uint64_t seed, ParticleTile<DIM>& tile, GatheredFields& f) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<Real> sym(-1.0, 1.0);
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  std::vector<std::array<Real, 6>> fields;
+  fields.push_back({0, 0, 0, 0, 0, 0});
+  fields.push_back({-0.0, 0, -0.0, 0, -0.0, -0.0});
+  for (int cc = 0; cc < 6; ++cc) {
+    for (const Real v : {1e-3, nan}) {
+      std::array<Real, 6> one = {0, 0, 0, 0, 0, 0};
+      one[cc] = v;
+      fields.push_back(one);
+    }
+  }
+  for (const auto& fv : fields) {
+    for (int neg = -1; neg < 3; ++neg) {
+      std::array<Real, 3> u = {0, 0, 0};
+      if (neg >= 0) { u[neg] = -0.0; }
+      for (const Real x0 : {0.0, -0.0, 1e-6 * sym(rng)}) {
+        std::array<Real, DIM> x;
+        x.fill(x0);
+        tile.push_back(x, u, 1.0);
+        const std::size_t p = f.size();
+        f.resize(p + 1);
+        for (int cc = 0; cc < 3; ++cc) {
+          f.E[cc][p] = fv[cc];
+          f.B[cc][p] = fv[3 + cc];
+        }
+      }
+    }
+  }
+}
+
+// Entries whose bit patterns differ, so a +0/-0 flip counts and a NaN
+// matches itself.
+std::size_t bit_mismatches(const std::vector<Real>& a, const std::vector<Real>& b) {
+  if (a.size() != b.size()) { return std::max(a.size(), b.size()); }
+  std::size_t bad = 0;
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    if (std::memcmp(&a[n], &b[n], sizeof(Real)) != 0) { ++bad; }
+  }
+  return bad;
+}
+
+template <int DIM>
+void check_push_matches_out_of_line(PusherKind kind, std::uint64_t seed, Real charge) {
   ParticleTile<DIM> got;
   GatheredFields f;
   random_push_case<DIM>(seed, got, f);
+  add_at_rest_push_case<DIM>(seed, got, f);
   ParticleTile<DIM> want = got;
   const Real dt = 2e-17;
   for (int s = 0; s < 3; ++s) {
-    push_particles<DIM>(kind, got, f, -q_e, m_e, dt);
-    ref::push_particles<DIM>(kind, want, f, -q_e, m_e, dt);
+    push_particles<DIM>(kind, got, f, charge, m_e, dt);
+    ref::push_particles<DIM>(kind, want, f, charge, m_e, dt);
   }
-  for (int cc = 0; cc < 3; ++cc) { EXPECT_TRUE(got.u[cc] == want.u[cc]) << "u" << cc; }
-  for (int d = 0; d < DIM; ++d) { EXPECT_TRUE(got.x[d] == want.x[d]) << "x" << d; }
+  for (int cc = 0; cc < 3; ++cc) {
+    EXPECT_EQ(bit_mismatches(got.u[cc], want.u[cc]), 0u) << "u" << cc << " charge " << charge;
+  }
+  for (int d = 0; d < DIM; ++d) {
+    EXPECT_EQ(bit_mismatches(got.x[d], want.x[d]), 0u) << "x" << d << " charge " << charge;
+  }
 }
 
 TEST(PushParticles, InlinedMatchesOutOfLine) {
-  check_push_matches_out_of_line<2>(PusherKind::Boris, 41);
-  check_push_matches_out_of_line<3>(PusherKind::Boris, 42);
-  check_push_matches_out_of_line<2>(PusherKind::Vay, 43);
-  check_push_matches_out_of_line<3>(PusherKind::Vay, 44);
+  for (const Real charge : {-q_e, q_e}) {
+    check_push_matches_out_of_line<2>(PusherKind::Boris, 41, charge);
+    check_push_matches_out_of_line<3>(PusherKind::Boris, 42, charge);
+    check_push_matches_out_of_line<2>(PusherKind::Vay, 43, charge);
+    check_push_matches_out_of_line<3>(PusherKind::Vay, 44, charge);
+  }
 }
 
 TEST(Boris, RotateMatchesOutOfLine) {
